@@ -35,6 +35,7 @@ from .wigner import (
     WignerField,
     make_momentum_grid,
     marginal_x,
+    nonreactive_probabilities,
     nonreactive_probability,
     wigner_transform,
 )

@@ -40,6 +40,7 @@ from .observables import position_record
 from .wigner import (
     WignerField,
     make_momentum_grid,
+    nonreactive_probabilities,
     nonreactive_probability,
     wigner_transform,
 )
@@ -93,12 +94,17 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.alpha_values) < 1:
             raise ConfigurationError("alpha_values must not be empty")
-        if any(a <= 0 for a in self.alpha_values):
-            raise ConfigurationError(f"alpha values must be > 0, got {self.alpha_values}")
+        if not all(math.isfinite(a) and a > 0 for a in self.alpha_values):
+            raise ConfigurationError(
+                f"alpha values must be finite and > 0, got {self.alpha_values}"
+            )
         if len(set(self.alpha_values)) != len(self.alpha_values):
             raise ConfigurationError("alpha values must be distinct (they name output files)")
-        if self.n_states < 1:
-            raise ConfigurationError(f"n_states must be >= 1, got {self.n_states}")
+        if not 1 <= self.n_states <= self.n_points - 2:
+            raise ConfigurationError(
+                f"n_states must be in [1, n_points - 2 = {self.n_points - 2}], "
+                f"got {self.n_states}"
+            )
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise ConfigurationError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUT_KINDS}")
@@ -153,10 +159,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _alpha_tag(alpha: float) -> str:
-    return repr(float(alpha))
-
-
 def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
     params = ModelParams(mu=cfg.mu, alpha=alpha, hbar=cfg.hbar, mass=cfg.mass)
     spectrum = solve(assemble(params, grid), cfg.n_states)
@@ -165,17 +167,22 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
     want_wigner = "wigner" in cfg.outputs
 
     data = _PointData(params=params, spectrum=spectrum)
-    for state in spectrum.states:
-        mean_x = sigma_x = prob = math.nan
+    # without Wigner files the probabilities come straight from the
+    # correlation matrices; with them, from the fields as emit_wigner_grid does
+    if want_prob and not want_wigner:
+        probs = nonreactive_probabilities(spectrum.states, grid, pgrid, params)
+    else:
+        probs = [math.nan] * len(spectrum.states)
+    for state, prob in zip(spectrum.states, probs):
+        mean_x = sigma_x = math.nan
         if want_obs:
             rec = position_record(state, grid, params)
             mean_x, sigma_x = rec.mean_x, rec.sigma_x
-        if want_prob or want_wigner:
+        if want_wigner:
             w = wigner_transform(state, grid, pgrid, params)
             if want_prob:
                 prob = nonreactive_probability(w, params)
-            if want_wigner:
-                data.fields.append(w)
+            data.fields.append(w)
         data.records.append(
             SweepRecord(
                 alpha=alpha,
@@ -313,6 +320,9 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
     values = np.loadtxt(path)
+    shape = (int(meta["x_points"]), int(meta["p_points"]))
+    if values.shape != shape:
+        raise ValueError(f"{path}: grid has shape {values.shape}, header says {shape}")
     params = ModelParams(
         mu=float(meta["mu"]),
         alpha=float(meta["alpha"]),
@@ -321,8 +331,8 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
     )
     xa, xb = (float(v) for v in meta["x_window"].split())
     pc, pd = (float(v) for v in meta["p_window"].split())
-    xg = make_grid(xa, xb, int(meta["x_points"]))
-    pg = make_momentum_grid(pc, pd, int(meta["p_points"]))
+    xg = make_grid(xa, xb, shape[0])
+    pg = make_momentum_grid(pc, pd, shape[1])
     field_ = WignerField(
         values=values,
         state_index=int(meta["state_index"]),
@@ -386,7 +396,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     for i, data in enumerate(results):
         if data is None:
             continue
-        tag = _alpha_tag(cfg.alpha_values[i])
+        tag = _fmt(cfg.alpha_values[i])
         if "spectrum" in cfg.outputs:
             _write_spectrum(outdir / f"spectrum_{tag}.csv", data)
         if "contours" in cfg.outputs:
@@ -395,5 +405,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             emit_wigner_grid(w, outdir / f"wigner_{tag}_n{w.state_index}.dat")
 
     if failures:
+        # threads finish in any order; report in the order the alphas were given
+        failures.sort(key=lambda f: cfg.alpha_values.index(f.alpha))
         raise SweepPointError(failures, records)
     return records

@@ -17,14 +17,31 @@ rho is a quasiprobability: it integrates to 1 (up to momentum-window
 truncation) and obeys |rho| <= 1/(pi hbar), but it may be negative and is
 never clamped.  The probability of classically nonreactive behaviour is its
 integral over the region H(x, p) <= 0.
+
+That integral is linear in the correlation matrix the field is built from,
+
+    P = dx dp (dx / pi hbar) sum_j sum_l corr[j, l] K[j, l],
+    K[j, l] = sum over the region cells k of row j of cos(eta_l p_k / hbar),
+
+so nonreactive_probabilities takes it without building the field: each row's
+region is one contiguous run of momentum cells (H is unimodal in p), and K
+is a difference of prefix sums of the cached cosine table.  Probability-only
+sweeps never build a field; their values agree with
+nonreactive_probability(wigner_transform(...)) to 1e-14 (the two sums run in
+a different order).  The cosine table and its prefix sums depend only on the
+grids and hbar and are built once per combination (see _phase_kernel).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import ModelParams, hamiltonian
 from .discretize import SpatialGrid, uniform_points
@@ -38,6 +55,7 @@ __all__ = [
     "wigner_transform",
     "marginal_x",
     "nonreactive_probability",
+    "nonreactive_probabilities",
 ]
 
 
@@ -77,6 +95,82 @@ class WignerField:
     momentum_grid: MomentumGrid
 
 
+@dataclass(frozen=True)
+class _PhaseKernel:
+    """Cosine tables shared by every state on one (x grid, p grid, hbar).
+
+    cos_table holds cos(eta_l |p_k| / hbar), rows l = 0..L, for the columns
+    k >= half; on a mirrored momentum grid the columns k < half repeat
+    column n_p - 1 - k, on any other grid half = 0 and the table is
+    complete.  prefix[k] = sum over k' < k of the full table's column k',
+    stored as rows, shape (n_p + 1) x (L + 1).  The arrays are read-only so
+    concurrent sweep points can share them.
+    """
+
+    half: int
+    cos_table: np.ndarray = field(repr=False)
+    prefix: np.ndarray = field(repr=False)
+
+
+_kernel_lock = threading.Lock()
+
+
+def _phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _PhaseKernel:
+    """The cached kernel; sweep points that start together wait for one build."""
+    with _kernel_lock:
+        return _build_phase_kernel(xg, pg, hbar)
+
+
+@functools.lru_cache(maxsize=4)
+def _build_phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _PhaseKernel:
+    lmax = (xg.n_points - 1) // 2
+    eta = 2.0 * xg.dx * np.arange(lmax + 1)
+    pts = pg.points
+    if np.array_equal(pts[::-1], -pts):
+        # mirrored momentum columns share one evaluation: the p -> -p symmetry
+        # of the cosine kernel then holds bitwise (a plain full matrix product
+        # would not guarantee that, BLAS may round column blocks differently)
+        half = pg.n_points - (pg.n_points + 1) // 2
+        cos_table = np.cos(np.outer(eta, pts[half:]) / hbar)
+        full = np.concatenate((cos_table[:, ::-1][:, :half], cos_table), axis=1)
+    else:
+        half = 0
+        cos_table = full = np.cos(np.outer(eta, np.abs(pts)) / hbar)
+    prefix = np.zeros((pg.n_points + 1, lmax + 1))
+    np.cumsum(full.T, axis=0, out=prefix[1:])
+    for table in (cos_table, prefix):
+        table.flags.writeable = False
+    return _PhaseKernel(half=half, cos_table=cos_table, prefix=prefix)
+
+
+def _correlation_matrix(psi: np.ndarray) -> np.ndarray:
+    """corr[j, l] = c_l psi(x_j - l dx) psi(x_j + l dx), c_0 = 1, c_l = 2.
+
+    The l = 0 term enters once and each |l| >= 1 pair twice (cosine is even).
+    Both factors are read from sliding windows over psi padded with L zeros
+    on each side; products whose offset leaves the window are skipped, so
+    those entries stay +0.0 (a product with a pad zero could be -0.0).
+    """
+    n = psi.size
+    lmax = (n - 1) // 2
+    padded = np.zeros(n + 2 * lmax)
+    padded[lmax : lmax + n] = psi
+    windows = sliding_window_view(padded, lmax + 1)  # windows[i, m] = padded[i + m]
+    rows = np.arange(n)
+    inside = np.arange(lmax + 1) <= np.minimum(rows, n - 1 - rows)[:, None]
+    corr = np.zeros((n, lmax + 1))
+    np.multiply(windows[:n, ::-1], windows[lmax:], out=corr, where=inside)
+    corr[:, 1:] *= 2.0
+    return corr
+
+
+def _check_state(state: EigenState, xg: SpatialGrid) -> None:
+    if state.values.size != xg.n_points:
+        raise ValueError(
+            f"state has {state.values.size} values but the spatial grid has {xg.n_points} points"
+        )
+
+
 def wigner_transform(
     state: EigenState,
     xg: SpatialGrid,
@@ -85,36 +179,20 @@ def wigner_transform(
 ) -> WignerField:
     """Wigner quasiprobability of one eigenstate on the product grid.
 
-    The l = 0 term enters once and each |l| >= 1 pair twice (cosine is even),
-    so the whole field is one correlation-matrix product: O(N^2 L) flops,
-    rows independent, deterministic output regardless of BLAS threading.
+    The whole field is one correlation-matrix product with the cached cosine
+    table: O(N^2 L) flops, rows independent, deterministic output regardless
+    of BLAS threading.
     """
-    psi = state.values
-    n = xg.n_points
-    if psi.size != n:
-        raise ValueError(f"state has {psi.size} values but the spatial grid has {n} points")
-    lmax = (n - 1) // 2
-    corr = np.zeros((n, lmax + 1))
-    corr[:, 0] = psi * psi
-    for l in range(1, lmax + 1):
-        corr[l : n - l, l] = psi[: n - 2 * l] * psi[2 * l :]
-    corr[:, 1:] *= 2.0
-    eta = 2.0 * xg.dx * np.arange(lmax + 1)
+    _check_state(state, xg)
+    kernel = _phase_kernel(xg, pg, params.hbar)
     prefactor = xg.dx / (math.pi * params.hbar)
-    pts = pg.points
-    if np.array_equal(pts[::-1], -pts):
-        # mirrored momentum columns share one evaluation: the p -> -p symmetry
-        # of the cosine kernel then holds bitwise (a plain full matrix product
-        # would not guarantee that, BLAS may round column blocks differently)
-        half = pg.n_points - (pg.n_points + 1) // 2
-        kernel = np.cos(np.outer(eta, pts[half:]) / params.hbar)
-        right = prefactor * (corr @ kernel)
-        values = np.empty((n, pg.n_points))
-        values[:, half:] = right
-        values[:, :half] = right[:, pg.n_points - 1 - half - np.arange(half)]
+    right = prefactor * (_correlation_matrix(state.values) @ kernel.cos_table)
+    if kernel.half:
+        values = np.empty((xg.n_points, pg.n_points))
+        values[:, kernel.half :] = right
+        values[:, : kernel.half] = right[:, ::-1][:, : kernel.half]
     else:
-        kernel = np.cos(np.outer(eta, np.abs(pts)) / params.hbar)
-        values = prefactor * (corr @ kernel)
+        values = right
     return WignerField(
         values=values,
         state_index=state.index,
@@ -141,3 +219,28 @@ def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     h = hamiltonian(params, w.spatial_grid.points[:, None], w.momentum_grid.points[None, :])
     inside = np.where(h <= 0.0, w.values, 0.0)
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
+
+
+def nonreactive_probabilities(
+    states: Sequence[EigenState], xg: SpatialGrid, pg: MomentumGrid, params: ModelParams
+) -> list[float]:
+    """nonreactive_probability of each state's field, without building the fields.
+
+    The region is the same H(x_j, p_k) <= 0 cell test; its row-wise momentum
+    sums K of the cosine table are formed once for all states, after which
+    each state costs one O(N L) contraction with its correlation matrix.
+    Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
+    absolute, not bitwise (the sums run in a different order).
+    """
+    for state in states:
+        _check_state(state, xg)
+    kernel = _phase_kernel(xg, pg, params.hbar)
+    inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
+    count = np.count_nonzero(inside, axis=1)
+    first = np.argmax(inside, axis=1)  # 0 for an empty row, whose K is then 0
+    region = kernel.prefix[first + count]
+    region -= kernel.prefix[first]
+    scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
+    return [
+        float(np.vdot(_correlation_matrix(state.values), region)) * scale for state in states
+    ]

@@ -91,6 +91,14 @@ def test_invalid_alpha_exits_2():
     assert main(["--alpha", "-3"]) == 2
 
 
+def test_non_finite_later_alpha_exits_2(tmp_path):
+    assert main(["--alpha", "1", "--alpha", "nan", "--out", str(tmp_path)]) == 2
+
+
+def test_more_states_than_interior_points_exits_2(tmp_path):
+    assert main(["--n-states", "1000", "--n-points", "100", "--out", str(tmp_path)]) == 2
+
+
 def test_bad_range_count_exits_2():
     assert main(["--alpha-range", "1", "2", "2.5"]) == 2
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from snwell import (
     make_grid,
     make_momentum_grid,
     moment,
+    nonreactive_probabilities,
     nonreactive_probability,
     run_sweep,
     solve,
@@ -62,6 +64,10 @@ def tree_digest(root):
         dict(outputs=frozenset({"spectrum", "plots"})),
         dict(threads=0),
         dict(mu=-1.0),
+        dict(alpha_values=(1.0, math.nan)),
+        dict(alpha_values=(1.0, math.inf)),
+        dict(alpha_values=(2.0, 0.0)),
+        dict(n_points=149, n_states=148),
     ],
 )
 def test_config_validation(kwargs):
@@ -84,11 +90,13 @@ def test_single_point_sweep_matches_direct_calls(tmp_path):
     params = ModelParams(4.0, 2.0)
     spectrum = solve(assemble(params, grid), cfg.n_states)
     assert len(records) == cfg.n_states
-    for rec, st in zip(records, spectrum.states):
+    probs = nonreactive_probabilities(spectrum.states, grid, pgrid, params)
+    for rec, st, prob in zip(records, spectrum.states, probs):
         assert rec.energy == st.energy
         assert rec.mean_x == moment(st, grid, 1)
         w = wigner_transform(st, grid, pgrid, params)
-        assert rec.nonreactive_prob == nonreactive_probability(w, params)
+        assert rec.nonreactive_prob == prob
+        assert abs(rec.nonreactive_prob - nonreactive_probability(w, params)) <= 1e-14
 
 
 def test_records_file_round_trips(tmp_path):
@@ -196,6 +204,17 @@ def test_emit_and_load_single_field(tmp_path, deep_spectrum, saddle_grid, moment
     assert abs(nonreactive_probability(loaded, loaded.params) - stored) <= 1e-12
 
 
+def test_truncated_wigner_file_rejected(tmp_path, deep_spectrum, saddle_grid, momentum_grid,
+                                        deep_params):
+    w = wigner_transform(deep_spectrum.states[0], saddle_grid, momentum_grid, deep_params)
+    path = tmp_path / "field.dat"
+    emit_wigner_grid(w, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="shape"):
+        load_wigner_grid(path)
+
+
 def test_serial_and_parallel_trees_identical(tmp_path):
     trees = {}
     for label, threads in (("serial", 1), ("parallel", 2)):
@@ -234,6 +253,30 @@ def test_point_failure_reported_and_others_survive(tmp_path, monkeypatch):
     assert len(excinfo.value.records) == 2 * cfg.n_states
     _, _, rows = read_table(tmp_path / "records.csv")
     assert sorted({row[0] for row in rows}) == ["1.0", "5.0"]
+
+
+def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch):
+    real_solve = snwell.sweep.solve
+
+    def failing_solve(h, k):
+        if h.params.alpha == 1.0:
+            time.sleep(0.3)  # lets alpha = 5.0 fail first on the other worker
+        if h.params.alpha in (1.0, 5.0):
+            raise NumericalError(f"synthetic failure at {h.params.alpha}")
+        return real_solve(h, k)
+
+    monkeypatch.setattr(snwell.sweep, "solve", failing_solve)
+    cfg = SweepConfig(
+        alpha_values=(1.0, 2.0, 5.0),
+        outputs=frozenset({"observables"}),
+        output_dir=tmp_path,
+        threads=2,
+        **SMALL,
+    )
+    with pytest.raises(SweepPointError) as excinfo:
+        run_sweep(cfg)
+    assert [f.alpha for f in excinfo.value.failures] == [1.0, 5.0]
+    assert [r.alpha for r in excinfo.value.records] == [2.0] * cfg.n_states
 
 
 def test_fail_fast_aborts_immediately(tmp_path, monkeypatch):

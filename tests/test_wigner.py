@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,10 +13,13 @@ from snwell import (
     make_grid,
     make_momentum_grid,
     marginal_x,
+    nonreactive_probabilities,
     nonreactive_probability,
     solve,
     wigner_transform,
 )
+
+from snwell.wigner import _build_phase_kernel, _correlation_matrix, _phase_kernel
 
 from conftest import fd_hamiltonian
 
@@ -50,6 +55,19 @@ def slow_wigner_value(psi, dx, hbar, j, p):
         if 0 <= jm < n and 0 <= jp < n:
             total += psi[jm] * psi[jp] * math.cos(p * (2.0 * l * dx) / hbar)
     return total * dx / (math.pi * hbar)
+
+
+def test_correlation_matrix_matches_loop_bitwise(deep_spectrum):
+    rng = np.random.default_rng(3)
+    for psi in [st.values for st in deep_spectrum.states[:3]] + [rng.normal(size=n)
+                                                                  for n in (5, 6, 60, 61)]:
+        n = psi.size
+        lmax = (n - 1) // 2
+        loop = np.zeros((n, lmax + 1))
+        for j in range(n):
+            for l in range(min(j, n - 1 - j, lmax) + 1):
+                loop[j, l] = (1.0 if l == 0 else 2.0) * (psi[j - l] * psi[j + l])
+        assert _correlation_matrix(psi).tobytes() == loop.tobytes()
 
 
 def test_momentum_grid_invariants():
@@ -190,3 +208,78 @@ def test_nonreactive_probability_shallow_well(shallow_spectrum, saddle_grid, mom
         assert p <= 0.2
     for p in probs:
         assert -0.05 <= p <= 1.05
+
+
+MOMENTUM_WINDOWS = {
+    "odd_symmetric": lambda n: make_momentum_grid(-6.0, 6.0, n),
+    "even_symmetric": lambda n: make_momentum_grid(-6.0, 6.0, n + 1),
+    "asymmetric": lambda n: make_momentum_grid(-2.0, 5.0, n),
+}
+
+
+@pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
+@pytest.mark.parametrize("n", [149, 599])
+def test_fused_probabilities_match_field_path(n, window):
+    grid = make_grid(-1.0, 9.0, n)
+    pg = MOMENTUM_WINDOWS[window](n)
+    for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
+        params = ModelParams(4.0, alpha)
+        states = solve(assemble(params, grid), 5).states
+        fused = nonreactive_probabilities(states, grid, pg, params)
+        for st, prob in zip(states, fused):
+            field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
+            assert abs(prob - field_prob) <= 1e-14, (alpha, st.index)
+
+
+def test_fused_probabilities_carry_hbar_and_mass():
+    grid = make_grid(-1.0, 9.0, 149)
+    pg = make_momentum_grid(-6.0, 6.0, 149)
+    params = ModelParams(4.0, 1.5, hbar=0.7, mass=2.0)
+    states = solve(assemble(params, grid), 3).states
+    fused = nonreactive_probabilities(states, grid, pg, params)
+    for st, prob in zip(states, fused):
+        field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
+        assert abs(prob - field_prob) <= 1e-14
+    assert nonreactive_probabilities([], grid, pg, params) == []
+
+
+def test_fused_probabilities_grid_mismatch_rejected(deep_spectrum, momentum_grid, deep_params):
+    wrong = make_grid(-1.0, 9.0, 149)
+    with pytest.raises(ValueError):
+        nonreactive_probabilities(deep_spectrum.states, wrong, momentum_grid, deep_params)
+
+
+def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
+    kernel = _phase_kernel(saddle_grid, momentum_grid, 1.0)
+    same_grids = (make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599))
+    assert _phase_kernel(*same_grids, 1.0) is kernel
+    assert _phase_kernel(saddle_grid, momentum_grid, 2.0) is not kernel
+    for table in (kernel.cos_table, kernel.prefix):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
+def test_phase_kernel_built_once_by_concurrent_callers():
+    grid = make_grid(-1.0, 9.0, 301)
+    pg = make_momentum_grid(-6.0, 6.0, 301)
+    _build_phase_kernel.cache_clear()
+    start = threading.Barrier(6)
+    kernels = []
+
+    def fetch():
+        start.wait(timeout=10)
+        kernels.append(_phase_kernel(grid, pg, 1.0))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(kernels) == 6 and all(k is kernels[0] for k in kernels)
+    assert _build_phase_kernel.cache_info().misses == 1
