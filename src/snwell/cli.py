@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -104,7 +105,7 @@ def _floats(text: str, key: str, count: int) -> tuple[float, ...]:
 
 
 def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
-    if count != int(count) or int(count) < 1:
+    if not math.isfinite(count) or count != int(count) or count < 1:
         raise ConfigurationError(f"alpha range count must be a positive integer, got {count}")
     return tuple(float(a) for a in np.linspace(start, stop, int(count)))
 

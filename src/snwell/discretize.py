@@ -18,6 +18,7 @@ diagnostic carried by each solved state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +81,8 @@ class DiscreteHamiltonian:
 
 def make_grid(a: float, b: float, n: int) -> SpatialGrid:
     """Uniform grid on [a, b] with n total points (endpoints included)."""
-    if not b > a:
-        raise ConfigurationError(f"grid needs a < b, got [{a!r}, {b!r}]")
+    if not (b > a and math.isfinite(b - a)):  # b - a is finite only for finite ends
+        raise ConfigurationError(f"grid needs finite a < b, got [{a!r}, {b!r}]")
     if n < 5:
         raise ConfigurationError(f"grid needs at least 5 points, got {n}")
     dx = (b - a) / (n - 1)

@@ -46,8 +46,8 @@ def moment(state: EigenState, grid: SpatialGrid, power: int) -> float:
     return float(np.sum(density * grid.points**power)) * grid.dx
 
 
-def uncertainty(state: EigenState, grid: SpatialGrid) -> float:
-    """Position spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0."""
+def _position_moments(state: EigenState, grid: SpatialGrid) -> tuple[float, float, float]:
+    """<x>, <x^2> and the spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0."""
     m1 = moment(state, grid, 1)
     m2 = moment(state, grid, 2)
     variance = m2 - m1 * m1
@@ -55,22 +55,21 @@ def uncertainty(state: EigenState, grid: SpatialGrid) -> float:
         raise NumericalError(
             f"variance {variance} is negative beyond rounding", state_index=state.index
         )
-    return float(np.sqrt(max(variance, 0.0)))
+    return m1, m2, float(np.sqrt(max(variance, 0.0)))
+
+
+def uncertainty(state: EigenState, grid: SpatialGrid) -> float:
+    """Position spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0."""
+    return _position_moments(state, grid)[2]
 
 
 def position_record(state: EigenState, grid: SpatialGrid, params: ModelParams) -> ObservableRecord:
-    m1 = moment(state, grid, 1)
-    m2 = moment(state, grid, 2)
-    variance = m2 - m1 * m1
-    if variance < VARIANCE_FLOOR:
-        raise NumericalError(
-            f"variance {variance} is negative beyond rounding", state_index=state.index
-        )
+    m1, m2, sigma = _position_moments(state, grid)
     return ObservableRecord(
         state_index=state.index,
         mean_x=m1,
         mean_x2=m2,
-        sigma_x=float(np.sqrt(max(variance, 0.0))),
+        sigma_x=sigma,
         depth=depth(params),
         params=params,
     )

@@ -18,15 +18,22 @@ truncation) and obeys |rho| <= 1/(pi hbar), but it may be negative and is
 never clamped.  The probability of classically nonreactive behaviour is its
 integral over the region H(x, p) <= 0.
 
-That integral is linear in the correlation matrix the field is built from,
+That integral is linear in the correlation matrix the field is built from.
+Written over the left offset point a = j - l instead of the row j,
 
-    P = dx dp (dx / pi hbar) sum_j sum_l corr[j, l] K[j, l],
+    P = dx dp (dx / pi hbar) sum_a psi(x_a) sum_l G[l, a] psi(x_a + 2 l dx),
+    G[l, a] = c_l K[a + l, l],
     K[j, l] = sum over the region cells k of row j of cos(eta_l p_k / hbar),
 
-so nonreactive_probabilities takes it without building the field: each row's
-region is one contiguous run of momentum cells (H is unimodal in p), and K
-is a difference of prefix sums of the cached cosine table.  Probability-only
-sweeps never build a field; their values agree with
+so nonreactive_probabilities takes it without building the field.  Each
+row's region is one contiguous run of momentum cells found by bisection:
+H <= 0 holds exactly when p_k^2 / 2m <= -V(x_j) (a rounded sum keeps the
+sign of the exact one), and p^2 / 2m falls and then rises along the
+ascending momentum grid.  K is a difference of prefix sums of the cached
+cosine table, G a sheared view of it built once per alpha, and each state
+then costs one O(N L) elementwise contraction against a stride-2 view of
+psi: no BLAS call, no correlation matrix and no N x N array.
+Probability-only sweeps never build a field; their values agree with
 nonreactive_probability(wigner_transform(...)) to 1e-14 (the two sums run in
 a different order).  The cosine table and its prefix sums depend only on the
 grids and hbar and are built once per combination (see _phase_kernel).
@@ -41,9 +48,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .classical import ModelParams, hamiltonian
+from .classical import ModelParams, hamiltonian, potential
 from .discretize import SpatialGrid, uniform_points
 from .eigensolve import EigenState
 from .errors import ConfigurationError
@@ -70,8 +77,8 @@ class MomentumGrid:
 
 def make_momentum_grid(c: float, d: float, n: int) -> MomentumGrid:
     """Uniform momentum grid on [c, d] with n points (endpoints included)."""
-    if not d > c:
-        raise ConfigurationError(f"momentum grid needs c < d, got [{c!r}, {d!r}]")
+    if not (d > c and math.isfinite(d - c)):  # d - c is finite only for finite ends
+        raise ConfigurationError(f"momentum grid needs finite c < d, got [{c!r}, {d!r}]")
     if n < 2:
         raise ConfigurationError(f"momentum grid needs at least 2 points, got {n}")
     dp = (d - c) / (n - 1)
@@ -102,8 +109,9 @@ class _PhaseKernel:
     cos_table holds cos(eta_l |p_k| / hbar), rows l = 0..L, for the columns
     k >= half; on a mirrored momentum grid the columns k < half repeat
     column n_p - 1 - k, on any other grid half = 0 and the table is
-    complete.  prefix[k] = sum over k' < k of the full table's column k',
-    stored as rows, shape (n_p + 1) x (L + 1).  The arrays are read-only so
+    complete.  prefix[l, k] = c_l times the sum over k' < k of the full
+    table's entries (l, k'), shape (L + 1) x (n_p + 1), with the correlation
+    weights c_0 = 1, c_l = 2 folded in (exact).  The arrays are read-only so
     concurrent sweep points can share them.
     """
 
@@ -136,8 +144,9 @@ def _build_phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _Phas
     else:
         half = 0
         cos_table = full = np.cos(np.outer(eta, np.abs(pts)) / hbar)
-    prefix = np.zeros((pg.n_points + 1, lmax + 1))
-    np.cumsum(full.T, axis=0, out=prefix[1:])
+    prefix = np.zeros((lmax + 1, pg.n_points + 1))
+    np.cumsum(full, axis=1, out=prefix[:, 1:])
+    prefix[1:] *= 2.0
     for table in (cos_table, prefix):
         table.flags.writeable = False
     return _PhaseKernel(half=half, cos_table=cos_table, prefix=prefix)
@@ -221,26 +230,66 @@ def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
 
+def _region_bounds(
+    xg: SpatialGrid, pg: MomentumGrid, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """first[j], count[j]: row j's run of momentum cells with H(x_j, p_k) <= 0.
+
+    hamiltonian(x_j, p_k) is the rounded sum f_k + V_j, f_k = p_k**2 / 2m; a
+    rounded sum is <= 0 exactly when the exact one is, so the cell test is
+    f_k <= -V_j with no rounding of its own.  On the ascending momentum grid
+    f does not rise over p < 0 and does not fall over p >= 0, so the run is
+    a suffix of the first branch joined to a prefix of the second, each
+    found by bisection.  An empty row has count 0 (and first at p = 0).
+    """
+    kinetic = pg.points**2 / (2.0 * params.mass)
+    limit = -potential(params, xg.points)
+    zero = int(np.searchsorted(pg.points, 0.0))
+    left = np.searchsorted(kinetic[:zero][::-1], limit, side="right")
+    right = np.searchsorted(kinetic[zero:], limit, side="right")
+    return zero - left, left + right
+
+
 def nonreactive_probabilities(
     states: Sequence[EigenState], xg: SpatialGrid, pg: MomentumGrid, params: ModelParams
 ) -> list[float]:
     """nonreactive_probability of each state's field, without building the fields.
 
-    The region is the same H(x_j, p_k) <= 0 cell test; its row-wise momentum
-    sums K of the cosine table are formed once for all states, after which
-    each state costs one O(N L) contraction with its correlation matrix.
+    The same H(x_j, p_k) <= 0 cells, their row bounds taken exactly in
+    O(N log N) (see _region_bounds).  The sheared region sums G of the module
+    docstring are formed once for all states; each state then costs one
+    elementwise O(N L) contraction with a stride-2 view of psi and one
+    length-N dot, in numpy's own loops: no BLAS call, no correlation matrix.
     Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
     absolute, not bitwise (the sums run in a different order).
     """
     for state in states:
         _check_state(state, xg)
     kernel = _phase_kernel(xg, pg, params.hbar)
-    inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
-    count = np.count_nonzero(inside, axis=1)
-    first = np.argmax(inside, axis=1)  # 0 for an empty row, whose K is then 0
-    region = kernel.prefix[first + count]
-    region -= kernel.prefix[first]
+    n = xg.n_points
+    lmax = (n - 1) // 2
+    first, count = _region_bounds(xg, pg, params)
+    # region[l, j] = c_l K[j, l], in a flat buffer with lmax spare entries so
+    # that the sheared view below stays inside it
+    flat = np.zeros((lmax + 1) * n + lmax)
+    region = flat[: (lmax + 1) * n].reshape(lmax + 1, n)
+    low = np.empty_like(region)
+    # the bounds lie in [0, n_p] by construction; with mode="raise" numpy
+    # would gather into a temporary copy of out
+    np.take(kernel.prefix, first + count, axis=1, out=region, mode="clip")
+    np.take(kernel.prefix, first, axis=1, out=low, mode="clip")
+    region -= low
+    # g[l, a] = region[l, a + l]; where a + l >= n it reads the next row's
+    # finite entries, which only ever meet the zero padding of psi
+    step = flat.itemsize
+    g = as_strided(flat, shape=(lmax + 1, n), strides=((n + 1) * step, step), writeable=False)
+    padded = np.zeros(n + 2 * lmax)
+    # far[l, a] = psi(x_a + 2 l dx), zero beyond the window
+    far = as_strided(padded, shape=(lmax + 1, n), strides=(2 * step, step), writeable=False)
     scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
-    return [
-        float(np.vdot(_correlation_matrix(state.values), region)) * scale for state in states
-    ]
+    probs = []
+    for state in states:
+        padded[:n] = state.values
+        inner = np.einsum("la,la->a", g, far)
+        probs.append(float(np.einsum("a,a->", state.values, inner)) * scale)
+    return probs

@@ -103,6 +103,33 @@ def test_bad_range_count_exits_2():
     assert main(["--alpha-range", "1", "2", "2.5"]) == 2
 
 
+@pytest.mark.parametrize("count", ["inf", "nan"])
+def test_non_finite_range_count_exits_2(tmp_path, capsys, count):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"alpha_range = 1 2 {count}\n")
+    for argv in (["--alpha-range", "1", "2", count], ["--config", str(cfg_file)]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,window", [("pdomain", "0 inf"), ("pdomain", "-inf 6"), ("domain", "-1 inf")]
+)
+def test_non_finite_window_exits_2(tmp_path, capsys, key, window):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"{key} = {window}\nalpha = 1\n")
+    runs = [["--config", str(cfg_file)]]
+    if not window.startswith("-inf"):  # argparse would take '-inf' for an option
+        runs.append([f"--{key}", *window.split(), "--alpha", "1"])
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_successful_run_exits_0(tmp_path, capsys):
     code = main(
         ["--alpha", "2", "--n-points", "149", "--n-states", "2",

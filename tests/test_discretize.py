@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,11 @@ def test_nice_fraction_points_exact():
     np.testing.assert_array_equal(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-@pytest.mark.parametrize("a,b,n", [(-1.0, 9.0, 2), (0.0, 1.0, 4), (1.0, 1.0, 9), (2.0, 1.0, 9)])
+@pytest.mark.parametrize(
+    "a,b,n",
+    [(-1.0, 9.0, 2), (0.0, 1.0, 4), (1.0, 1.0, 9), (2.0, 1.0, 9),
+     (-1.0, math.inf, 9), (-math.inf, 9.0, 9), (-1.0, math.nan, 9), (-1e308, 1e308, 9)],
+)
 def test_bad_grids_rejected(a, b, n):
     with pytest.raises(ConfigurationError):
         make_grid(a, b, n)

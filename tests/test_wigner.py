@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from snwell import (
     ConfigurationError,
@@ -19,7 +21,8 @@ from snwell import (
     wigner_transform,
 )
 
-from snwell.wigner import _build_phase_kernel, _correlation_matrix, _phase_kernel
+from snwell.classical import hamiltonian
+from snwell.wigner import _build_phase_kernel, _correlation_matrix, _phase_kernel, _region_bounds
 
 from conftest import fd_hamiltonian
 
@@ -80,6 +83,9 @@ def test_momentum_grid_invariants():
         make_momentum_grid(6.0, -6.0, 599)
     with pytest.raises(ConfigurationError):
         make_momentum_grid(-6.0, 6.0, 1)
+    for c, d in [(0.0, math.inf), (-math.inf, 6.0), (math.nan, 6.0), (-1e308, 1e308)]:
+        with pytest.raises(ConfigurationError):
+            make_momentum_grid(c, d, 599)
 
 
 def test_harmonic_ground_state_matches_gaussian(harmonic_field):
@@ -218,7 +224,7 @@ MOMENTUM_WINDOWS = {
 
 
 @pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
-@pytest.mark.parametrize("n", [149, 599])
+@pytest.mark.parametrize("n", [149, 599, 1201])
 def test_fused_probabilities_match_field_path(n, window):
     grid = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
@@ -229,6 +235,55 @@ def test_fused_probabilities_match_field_path(n, window):
         for st, prob in zip(states, fused):
             field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
             assert abs(prob - field_prob) <= 1e-14, (alpha, st.index)
+
+
+@st.composite
+def momentum_windows(draw):
+    """Odd and even mirrored, asymmetric, and one-signed (c >= 0 or d <= 0) grids."""
+    kind = draw(st.sampled_from(["odd", "even", "asymmetric", "positive", "negative"]))
+    half = draw(st.integers(1, 80))
+    d = draw(st.floats(0.1, 12.0))
+    if kind == "odd":
+        return make_momentum_grid(-d, d, 2 * half + 1)
+    if kind == "even":
+        return make_momentum_grid(-d, d, 2 * half)
+    if kind == "asymmetric":
+        return make_momentum_grid(-draw(st.floats(0.1, 12.0)), d, 2 * half + 1)
+    c = draw(st.floats(0.0, 6.0))
+    if kind == "positive":
+        return make_momentum_grid(c, c + d, half + 1)
+    return make_momentum_grid(-c - d, -c, half + 1)
+
+
+@given(
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 16.0)),
+    alpha=st.floats(0.1, 10.0),
+    mass=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+    a=st.floats(-5.0, 0.0),
+    width=st.floats(1.0, 15.0),
+    n=st.integers(5, 200),
+    pg=momentum_windows(),
+)
+# rows with x > 0 at mu = 0, and rows beyond the barrier, have empty regions;
+# a window with c > 0 also empties every row shallower than c^2 / 2m
+@example(mu=0.0, alpha=1.0, mass=1.0, a=-1.0, width=10.0, n=149,
+         pg=make_momentum_grid(-6.0, 6.0, 149))
+@example(mu=4.0, alpha=2.0, mass=0.5, a=-1.0, width=10.0, n=149,
+         pg=make_momentum_grid(-6.0, 6.0, 150))
+@example(mu=4.0, alpha=1.0, mass=3.0, a=-1.0, width=10.0, n=149,
+         pg=make_momentum_grid(0.5, 7.0, 149))
+def test_region_bounds_equal_the_hamiltonian_mask(mu, alpha, mass, a, width, n, pg):
+    params = ModelParams(mu, alpha, mass=mass)
+    xg = make_grid(a, a + width, n)
+    inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
+    first, count = _region_bounds(xg, pg, params)
+    np.testing.assert_array_equal(count, np.count_nonzero(inside, axis=1))
+    rows = count > 0
+    np.testing.assert_array_equal(first[rows], np.argmax(inside, axis=1)[rows])
+    # the region of each row is exactly the run [first, first + count)
+    k = np.arange(pg.n_points)
+    run = (k >= first[:, None]) & (k < (first + count)[:, None])
+    np.testing.assert_array_equal(run, inside)
 
 
 def test_fused_probabilities_carry_hbar_and_mass():
