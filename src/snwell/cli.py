@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-fast", action="store_true", default=None,
                         help="abort on the first failing sweep point")
     parser.add_argument("--threads", type=int, metavar="T",
-                        help="worker pool size (default: available parallelism)")
+                        help="sweep points run at once on a thread pool; the default 1 "
+                        "runs them serially, T > 1 opts into the pool")
     return parser
 
 

@@ -35,12 +35,18 @@ def uniform_points(a: float, b: float, n: int) -> np.ndarray:
     Built as the weighted average (a (n-1-j) + b j)/(n-1) rather than
     a + j dx so that a symmetric window b = -a yields an exactly mirrored
     point set (points[n-1-j] == -points[j] bitwise, with an exact 0 in the
-    middle for odd n).  The two forms agree to rounding.
+    middle for odd n).  The two forms agree to rounding.  A window so
+    narrow that rounding leaves two neighbours equal or out of order is a
+    ConfigurationError: every consumer relies on strictly ascending points.
     """
     j = np.arange(n, dtype=float)
     pts = (a * (n - 1 - j) + b * j) / (n - 1)
     pts[0] = a
     pts[-1] = b
+    if not np.all(pts[1:] > pts[:-1]):
+        raise ConfigurationError(
+            f"{n} points on [{a!r}, {b!r}] are not strictly ascending in floating point"
+        )
     return pts
 
 

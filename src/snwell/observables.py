@@ -33,23 +33,34 @@ class ObservableRecord:
     params: ModelParams
 
 
-def moment(state: EigenState, grid: SpatialGrid, power: int) -> float:
-    """<x^power> = sum(psi^2 x^power) dx for a grid-normalized real state."""
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+def _density(state: EigenState, grid: SpatialGrid) -> tuple[np.ndarray, float]:
+    """psi^2 and its norm sum(psi^2) dx, which must be 1 to NORMALIZATION_ATOL."""
     density = state.values * state.values
     norm = float(np.sum(density)) * grid.dx
     if abs(norm - 1.0) > NORMALIZATION_ATOL:
         raise ValueError(f"state is not normalized on this grid (sum psi^2 dx = {norm})")
+    return density, norm
+
+
+def moment(state: EigenState, grid: SpatialGrid, power: int) -> float:
+    """<x^power> = sum(psi^2 x^power) dx for a grid-normalized real state."""
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    density, norm = _density(state, grid)
     if power == 0:
         return norm
     return float(np.sum(density * grid.points**power)) * grid.dx
 
 
 def _position_moments(state: EigenState, grid: SpatialGrid) -> tuple[float, float, float]:
-    """<x>, <x^2> and the spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0."""
-    m1 = moment(state, grid, 1)
-    m2 = moment(state, grid, 2)
+    """<x>, <x^2> and the spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0.
+
+    One density and one normalization check serve both moments; the sums are
+    those of moment(state, grid, 1) and moment(state, grid, 2), bit for bit.
+    """
+    density, _ = _density(state, grid)
+    m1 = float(np.sum(density * grid.points)) * grid.dx
+    m2 = float(np.sum(density * grid.points**2)) * grid.dx
     variance = m2 - m1 * m1
     if variance < VARIANCE_FLOOR:
         raise NumericalError(

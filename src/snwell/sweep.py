@@ -3,9 +3,10 @@
 One sweep point = one alpha value: assemble the matrix, solve the lowest
 n_states pairs, then (depending on the requested outputs) position
 observables, Wigner fields, the nonreactive probability, and classical
-contours at e = E_n.  Points are independent work items; a bounded thread
-pool computes them and results are written in a fixed order afterwards, so
-serial and parallel runs of the same config produce byte-identical trees.
+contours at e = E_n.  Points are independent work items, computed one after
+another by default or, with threads > 1, on a bounded thread pool; results
+are written in a fixed order afterwards, so serial and parallel runs of the
+same config produce byte-identical trees.
 
 File formats (all plain text, all embedding the full parameter set as
 leading '# key = value' lines; floats are printed with repr round-trip
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .classical import ModelParams, contour_points, depth
+from .classical import ModelParams, contour_points, depth, potential
 from .discretize import assemble, make_grid
 from .eigensolve import Spectrum, solve
 from .errors import ConfigurationError
@@ -89,7 +89,7 @@ class SweepConfig:
     outputs: frozenset = DEFAULT_OUTPUTS
     output_dir: Path = Path("sweep_out")
     fail_fast: bool = False
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self):
         if len(self.alpha_values) < 1:
@@ -108,10 +108,20 @@ class SweepConfig:
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise ConfigurationError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUT_KINDS}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
-        # delegates mu/hbar/mass range checks
-        ModelParams(mu=self.mu, alpha=self.alpha_values[0], hbar=self.hbar, mass=self.mass)
+        if not (isinstance(self.threads, int) and self.threads >= 1):
+            raise ConfigurationError(f"threads must be an integer >= 1, got {self.threads!r}")
+        # ModelParams checks mu, hbar and mass; V is a cubic, so on a finite
+        # window it stays finite everywhere once it is finite at both ends
+        ends = np.array(self.domain, dtype=float)
+        for alpha in self.alpha_values:
+            params = ModelParams(mu=self.mu, alpha=alpha, hbar=self.hbar, mass=self.mass)
+            with np.errstate(over="ignore", invalid="ignore"):
+                at_ends = potential(params, ends)
+            if not np.all(np.isfinite(at_ends)):
+                raise ConfigurationError(
+                    f"the potential at the window ends {self.domain} is not finite "
+                    f"for alpha = {alpha}: {at_ends.tolist()}"
+                )
 
 
 @dataclass(frozen=True)
@@ -374,12 +384,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             if cfg.fail_fast:
                 raise SweepPointError([failure], []) from exc
 
-    workers = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
-    if workers == 1 or n_points == 1:
+    if cfg.threads == 1 or n_points == 1:
         for i in range(n_points):
             capture(i)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             futures = [pool.submit(capture, i) for i in range(n_points)]
             done, pending = wait(futures, return_when=FIRST_EXCEPTION)
             for fut in pending:

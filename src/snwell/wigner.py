@@ -29,10 +29,16 @@ so nonreactive_probabilities takes it without building the field.  Each
 row's region is one contiguous run of momentum cells found by bisection:
 H <= 0 holds exactly when p_k^2 / 2m <= -V(x_j) (a rounded sum keeps the
 sign of the exact one), and p^2 / 2m falls and then rises along the
-ascending momentum grid.  K is a difference of prefix sums of the cached
-cosine table, G a sheared view of it built once per alpha, and each state
-then costs one O(N L) elementwise contraction against a stride-2 view of
-psi: no BLAS call, no correlation matrix and no N x N array.
+ascending momentum grid.  Since p^2 / 2m >= 0, a row can hold a region
+cell only where V(x_j) <= 0, i.e. up to x = 3 sqrt(mu) / alpha; past the
+last such row, stop, K vanishes exactly, and with a, l >= 0 every term
+with a + l >= stop does too.  So only a, l < stop are formed: at mu = 4 on
+the standard window that is 70 % of the full table at alpha = 1, 10 % at
+alpha = 5 and a quarter over alpha in [1, 5].  K is a difference of
+prefix sums of the cached cosine table, G a sheared view of it built once
+per alpha, and each state then costs one O(stop L) elementwise contraction
+against a stride-2 view of psi: no BLAS call, no correlation matrix and no
+N x N array.
 Probability-only sweeps never build a field; their values agree with
 nonreactive_probability(wigner_transform(...)) to 1e-14 (the two sums run in
 a different order).  The cosine table and its prefix sums depend only on the
@@ -256,40 +262,46 @@ def nonreactive_probabilities(
     """nonreactive_probability of each state's field, without building the fields.
 
     The same H(x_j, p_k) <= 0 cells, their row bounds taken exactly in
-    O(N log N) (see _region_bounds).  The sheared region sums G of the module
-    docstring are formed once for all states; each state then costs one
-    elementwise O(N L) contraction with a stride-2 view of psi and one
-    length-N dot, in numpy's own loops: no BLAS call, no correlation matrix.
-    Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
-    absolute, not bitwise (the sums run in a different order).
+    O(N log N) (see _region_bounds).  Rows from stop (one past the last row
+    with a region cell) on contribute exact zeros, so the sheared region sums
+    G of the module docstring are formed only for offsets l < stop and left
+    points a < stop, once for all states; each state then costs one
+    elementwise O(stop L) contraction with a stride-2 view of psi and one
+    length-stop dot, in numpy's own loops: no BLAS call, no correlation
+    matrix.  With no region cell at all every probability is 0.0.  Agrees
+    with nonreactive_probability(wigner_transform(...)) to 1e-14 absolute,
+    not bitwise (the sums run in a different order).
     """
     for state in states:
         _check_state(state, xg)
-    kernel = _phase_kernel(xg, pg, params.hbar)
-    n = xg.n_points
-    lmax = (n - 1) // 2
     first, count = _region_bounds(xg, pg, params)
-    # region[l, j] = c_l K[j, l], in a flat buffer with lmax spare entries so
-    # that the sheared view below stays inside it
+    allowed = np.flatnonzero(count)
+    if allowed.size == 0:
+        return [0.0] * len(states)
+    # rows from stop on have empty regions, so every term with a + l >= stop
+    # is an exact zero; only a, l < stop are formed
+    stop = int(allowed[-1]) + 1
+    n = xg.n_points
+    lmax = min((n - 1) // 2, stop - 1)
+    prefix = _phase_kernel(xg, pg, params.hbar).prefix[: lmax + 1]
+    # region[l, j] = c_l K[j, l] for j < stop, zero beyond, in a flat buffer
+    # with lmax spare entries so that the sheared view below stays inside it
     flat = np.zeros((lmax + 1) * n + lmax)
     region = flat[: (lmax + 1) * n].reshape(lmax + 1, n)
-    low = np.empty_like(region)
-    # the bounds lie in [0, n_p] by construction; with mode="raise" numpy
-    # would gather into a temporary copy of out
-    np.take(kernel.prefix, first + count, axis=1, out=region, mode="clip")
-    np.take(kernel.prefix, first, axis=1, out=low, mode="clip")
-    region -= low
+    high = np.take(prefix, first[:stop] + count[:stop], axis=1)
+    low = np.take(prefix, first[:stop], axis=1)
+    np.subtract(high, low, out=region[:, :stop])
     # g[l, a] = region[l, a + l]; where a + l >= n it reads the next row's
     # finite entries, which only ever meet the zero padding of psi
     step = flat.itemsize
-    g = as_strided(flat, shape=(lmax + 1, n), strides=((n + 1) * step, step), writeable=False)
+    g = as_strided(flat, shape=(lmax + 1, stop), strides=((n + 1) * step, step), writeable=False)
     padded = np.zeros(n + 2 * lmax)
     # far[l, a] = psi(x_a + 2 l dx), zero beyond the window
-    far = as_strided(padded, shape=(lmax + 1, n), strides=(2 * step, step), writeable=False)
+    far = as_strided(padded, shape=(lmax + 1, stop), strides=(2 * step, step), writeable=False)
     scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
     probs = []
     for state in states:
         padded[:n] = state.values
         inner = np.einsum("la,la->a", g, far)
-        probs.append(float(np.einsum("a,a->", state.values, inner)) * scale)
+        probs.append(float(np.einsum("a,a->", state.values[:stop], inner)) * scale)
     return probs

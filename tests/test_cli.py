@@ -17,6 +17,7 @@ def test_defaults_mirror_standard_setup():
     assert cfg.momentum_domain == (-6.0, 6.0)
     assert cfg.n_points == 599 and cfg.n_states == 5
     assert cfg.hbar == 1.0 and cfg.mass == 1.0
+    assert cfg.threads == 1
 
 
 def test_alpha_range_flag():
@@ -127,6 +128,24 @@ def test_non_finite_window_exits_2(tmp_path, capsys, key, window):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        "domain = -1e103 1e103\n",  # the cubic overflows at both ends
+        "domain = -1e102 1\nalpha = 1\nalpha = 1000\n",  # only for the second alpha
+        # rounded points of a window one ulp wide repeat and fall back
+        "pdomain = -115.68810169584913 -115.68810169579964\nn_points = 2367\n",
+    ],
+)
+def test_unusable_finite_window_exits_2(tmp_path, capsys, entries):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(entries)
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

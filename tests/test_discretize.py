@@ -26,7 +26,8 @@ def test_nice_fraction_points_exact():
 @pytest.mark.parametrize(
     "a,b,n",
     [(-1.0, 9.0, 2), (0.0, 1.0, 4), (1.0, 1.0, 9), (2.0, 1.0, 9),
-     (-1.0, math.inf, 9), (-math.inf, 9.0, 9), (-1.0, math.nan, 9), (-1e308, 1e308, 9)],
+     (-1.0, math.inf, 9), (-math.inf, 9.0, 9), (-1.0, math.nan, 9), (-1e308, 1e308, 9),
+     (-115.68810169584913, -115.68810169579964, 2367)],
 )
 def test_bad_grids_rejected(a, b, n):
     with pytest.raises(ConfigurationError):

@@ -68,11 +68,30 @@ def tree_digest(root):
         dict(alpha_values=(1.0, math.inf)),
         dict(alpha_values=(2.0, 0.0)),
         dict(n_points=149, n_states=148),
+        dict(threads=None),
+        dict(domain=(-1e103, 1e103)),
+        dict(alpha_values=(1.0, 1000.0), domain=(-1e102, 1.0)),  # V overflows at alpha = 1000
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         SweepConfig(**kwargs)
+
+
+def test_sweep_is_serial_by_default(tmp_path, monkeypatch):
+    assert SweepConfig().threads == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a default sweep must not start a thread pool")
+
+    monkeypatch.setattr(snwell.sweep, "ThreadPoolExecutor", no_pool)
+    cfg = SweepConfig(
+        alpha_values=(1.0, 2.0),
+        outputs=frozenset({"observables"}),
+        output_dir=tmp_path,
+        **SMALL,
+    )
+    assert len(run_sweep(cfg)) == 4
 
 
 def test_single_point_sweep_matches_direct_calls(tmp_path):

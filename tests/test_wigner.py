@@ -86,6 +86,9 @@ def test_momentum_grid_invariants():
     for c, d in [(0.0, math.inf), (-math.inf, 6.0), (math.nan, 6.0), (-1e308, 1e308)]:
         with pytest.raises(ConfigurationError):
             make_momentum_grid(c, d, 599)
+    # spacing near one ulp of the ends: rounded points would repeat and fall back
+    with pytest.raises(ConfigurationError):
+        make_momentum_grid(-115.68810169584913, -115.68810169579964, 2367)
 
 
 def test_harmonic_ground_state_matches_gaussian(harmonic_field):
@@ -230,11 +233,31 @@ def test_fused_probabilities_match_field_path(n, window):
     pg = MOMENTUM_WINDOWS[window](n)
     for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
         params = ModelParams(4.0, alpha)
+        stop = np.flatnonzero(_region_bounds(grid, pg, params)[1])[-1] + 1
+        if alpha == 0.5:  # V < 0 on the whole window: every row and offset is kept
+            assert stop == n
+        if alpha == 5.0:  # V <= 0 only up to x = 1.2: the offsets are trimmed too
+            assert stop - 1 < (n - 1) // 2
         states = solve(assemble(params, grid), 5).states
         fused = nonreactive_probabilities(states, grid, pg, params)
         for st, prob in zip(states, fused):
             field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
             assert abs(prob - field_prob) <= 1e-14, (alpha, st.index)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+def test_fused_probabilities_without_allowed_rows_are_zero(alpha):
+    # p >= 5 needs V <= -12.5, deeper than the well bottom -32 / (3 alpha^2)
+    grid = make_grid(-1.0, 9.0, 149)
+    pg = make_momentum_grid(5.0, 6.0, 149)
+    params = ModelParams(4.0, alpha)
+    assert not _region_bounds(grid, pg, params)[1].any()
+    states = solve(assemble(params, grid), 3).states
+    fused = nonreactive_probabilities(states, grid, pg, params)
+    field = [
+        nonreactive_probability(wigner_transform(st, grid, pg, params), params) for st in states
+    ]
+    assert fused == field == [0.0, 0.0, 0.0]
 
 
 @st.composite
@@ -284,6 +307,30 @@ def test_region_bounds_equal_the_hamiltonian_mask(mu, alpha, mass, a, width, n, 
     k = np.arange(pg.n_points)
     run = (k >= first[:, None]) & (k < (first + count)[:, None])
     np.testing.assert_array_equal(run, inside)
+
+
+@given(
+    mu=st.floats(0.0, 16.0),
+    alpha=st.floats(0.1, 10.0),
+    mass=st.floats(0.1, 10.0),
+    a=st.floats(-5.0, 0.0),
+    width=st.floats(1.0, 15.0),
+    n=st.integers(5, 120),
+    pg=momentum_windows(),
+)
+# a single allowed row (stop = 1, offsets l = 0 only) and the last row allowed
+@example(mu=4.0, alpha=5.0, mass=1.0, a=-1.0, width=10.0, n=5,
+         pg=make_momentum_grid(-6.0, 6.0, 5))
+@example(mu=4.0, alpha=0.5, mass=1.0, a=-1.0, width=10.0, n=6,
+         pg=make_momentum_grid(-6.0, 6.0, 7))
+def test_fused_probabilities_match_field_path_on_any_window(mu, alpha, mass, a, width, n, pg):
+    params = ModelParams(mu, alpha, mass=mass)
+    grid = make_grid(a, a + width, n)
+    states = solve(assemble(params, grid), min(3, n - 2)).states
+    fused = nonreactive_probabilities(states, grid, pg, params)
+    for st, prob in zip(states, fused):
+        field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
+        assert abs(prob - field_prob) <= 1e-14, st.index
 
 
 def test_fused_probabilities_carry_hbar_and_mass():
