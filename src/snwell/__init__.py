@@ -5,18 +5,7 @@ observables, Wigner quasiprobability fields, and the phase-space probability
 of classically nonreactive behaviour, swept over the well-depth parameter.
 """
 
-from .classical import (
-    Equilibrium,
-    EquilibriumKind,
-    ModelParams,
-    TrajectoryClass,
-    classify_energy,
-    contour_points,
-    depth,
-    equilibria,
-    hamiltonian,
-    potential,
-)
+from .classical import ModelParams, contour_points, depth, hamiltonian, potential
 from .discretize import DiscreteHamiltonian, SpatialGrid, assemble, make_grid
 from .eigensolve import EigenState, Spectrum, eigenvalue_residual, solve
 from .errors import ConfigurationError, NumericalError
@@ -39,5 +28,18 @@ from .wigner import (
     nonreactive_probability,
     wigner_transform,
 )
+
+__all__ = [
+    "ModelParams", "contour_points", "depth", "hamiltonian", "potential",
+    "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
+    "EigenState", "Spectrum", "eigenvalue_residual", "solve",
+    "ConfigurationError", "NumericalError",
+    "ObservableRecord", "moment", "position_record", "uncertainty",
+    "HarmonicApprox", "expand_about_centre", "harmonic_energy_estimate",
+    "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid", "load_wigner_grid",
+    "run_sweep",
+    "MomentumGrid", "WignerField", "make_momentum_grid", "marginal_x",
+    "nonreactive_probabilities", "nonreactive_probability", "wigner_transform",
+]
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ The system is the one degree-of-freedom Hamiltonian
     H(x, p) = p^2 / (2 m) + V(x),      V(x) = -sqrt(mu) x^2 + (alpha/3) x^3,
 
 with mu >= 0 and alpha > 0.  For mu > 0 the potential has a barrier top at
-x = 0 (energy 0) and a well bottom at x = 2 sqrt(mu)/alpha; as mu -> 0 the
-two merge and annihilate.  The well depth
+x = 0 (energy 0) and a well bottom at x = 2 sqrt(mu)/alpha (computed, with its
+energy -D, by perturbation.expand_about_centre); as mu -> 0 the two merge and
+annihilate.  The well depth
 
     D = 4 mu^(3/2) / (3 alpha^2)
 
@@ -19,7 +20,6 @@ any number of threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,18 +27,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = [
-    "ModelParams",
-    "EquilibriumKind",
-    "Equilibrium",
-    "TrajectoryClass",
-    "potential",
-    "hamiltonian",
-    "equilibria",
-    "depth",
-    "classify_energy",
-    "contour_points",
-]
+__all__ = ["ModelParams", "potential", "hamiltonian", "depth", "contour_points"]
+
+# kinetic energies down to -TURNING_POINT_RTOL * max(1, |e|) count as turning
+# points in contour_points; the inversion is analytic, so this only absorbs
+# rounding
+TURNING_POINT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,26 +63,6 @@ class ModelParams:
             raise ConfigurationError(f"mass must be > 0, got {self.mass!r}")
 
 
-class EquilibriumKind(enum.Enum):
-    SADDLE = "saddle"
-    CENTRE = "centre"
-    DEGENERATE = "degenerate"  # mu = 0, saddle and centre have collided
-
-
-class TrajectoryClass(enum.Enum):
-    REACTIVE = "reactive"
-    NONREACTIVE = "nonreactive"
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    """A phase-space equilibrium (x, 0) with its stability kind and energy."""
-
-    position: float
-    kind: EquilibriumKind
-    energy: float
-
-
 def potential(params: ModelParams, x):
     """V(x) = -sqrt(mu) x^2 + (alpha/3) x^3.  Accepts scalars or arrays."""
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
@@ -105,38 +79,17 @@ def depth(params: ModelParams) -> float:
     return 4.0 * params.mu**1.5 / (3.0 * params.alpha**2)
 
 
-def equilibria(params: ModelParams) -> list[Equilibrium]:
-    """Both equilibria of the well, or the single degenerate one at mu = 0.
-
-    The barrier top at x = 0 is a saddle in phase space (V''(0) = -2 sqrt(mu)),
-    the well bottom at x = 2 sqrt(mu)/alpha is a centre (V'' = +2 sqrt(mu));
-    their energies are 0 and -depth.
-    """
-    if params.mu == 0:
-        return [Equilibrium(0.0, EquilibriumKind.DEGENERATE, 0.0)]
-    centre_x = 2.0 * math.sqrt(params.mu) / params.alpha
-    return [
-        Equilibrium(0.0, EquilibriumKind.SADDLE, 0.0),
-        Equilibrium(centre_x, EquilibriumKind.CENTRE, -depth(params)),
-    ]
-
-
-def classify_energy(e: float) -> TrajectoryClass:
-    """Reactive iff e > 0; the separatrix e = 0 counts as nonreactive."""
-    return TrajectoryClass.REACTIVE if e > 0 else TrajectoryClass.NONREACTIVE
-
-
-def contour_points(params: ModelParams, e: float, grid, rel_tol: float = 1e-10) -> np.ndarray:
+def contour_points(params: ModelParams, e: float, grid) -> np.ndarray:
     """Sample the level set H(x, p) = e over the spatial grid.
 
     Returns an (n_pairs, 2) array of (x, p) rows.  For every grid point with
     e - V(x) >= 0 the two momentum branches +/- sqrt(2 m (e - V)) are emitted
-    (in that order); classically forbidden x contribute nothing.  The inversion
-    is analytic, so rel_tol only absorbs rounding at turning points: kinetic
-    energies down to -rel_tol * max(1, |e|) are kept and clamped to zero.
+    (in that order); classically forbidden x contribute nothing.  Kinetic
+    energies just below zero (see TURNING_POINT_RTOL) are kept and clamped
+    to zero.
     """
     kinetic = e - potential(params, grid.points)
-    keep = kinetic >= -rel_tol * max(1.0, abs(e))
+    keep = kinetic >= -TURNING_POINT_RTOL * max(1.0, abs(e))
     xs = grid.points[keep]
     ps = np.sqrt(2.0 * params.mass * np.clip(kinetic[keep], 0.0, None))
     out = np.empty((2 * xs.size, 2))

@@ -32,6 +32,24 @@ from .sweep import DEFAULT_OUTPUTS, OUTPUT_KINDS, SweepConfig, SweepPointError, 
 __all__ = ["main", "build_parser", "parse_config_file", "config_from_args"]
 
 
+class _NegativeFloat:
+    """argparse's test for "this argument starting with '-' is a number".
+
+    argparse's own pattern knows only '-5' and '-.5', so `--domain -1e3 9` or
+    `--pdomain -inf 6` read the window end as an unknown option and stopped
+    with "expected 2 arguments".  Anything float() reads counts as a number
+    here, as it does for a value in a config file.
+    """
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snwell-sweep",
@@ -65,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, metavar="T",
                         help="sweep points run at once on a thread pool; the default 1 "
                         "runs them serially, T > 1 opts into the pool")
+    parser._negative_number_matcher = _NegativeFloat()
     return parser
 
 

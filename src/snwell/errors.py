@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigurationError", "NumericalError"]
+
 
 class ConfigurationError(ValueError):
     """Invalid build or run configuration (bad grid bounds, bad parameter set, ...)."""

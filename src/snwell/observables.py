@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ModelParams, depth
 from .discretize import SpatialGrid
 from .eigensolve import EigenState
 from .errors import NumericalError
@@ -27,10 +26,7 @@ VARIANCE_FLOOR = -1e-12
 class ObservableRecord:
     state_index: int
     mean_x: float
-    mean_x2: float
     sigma_x: float
-    depth: float
-    params: ModelParams
 
 
 def _density(state: EigenState, grid: SpatialGrid) -> tuple[np.ndarray, float]:
@@ -52,8 +48,8 @@ def moment(state: EigenState, grid: SpatialGrid, power: int) -> float:
     return float(np.sum(density * grid.points**power)) * grid.dx
 
 
-def _position_moments(state: EigenState, grid: SpatialGrid) -> tuple[float, float, float]:
-    """<x>, <x^2> and the spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0.
+def position_record(state: EigenState, grid: SpatialGrid) -> ObservableRecord:
+    """<x> and the spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0.
 
     One density and one normalization check serve both moments; the sums are
     those of moment(state, grid, 1) and moment(state, grid, 2), bit for bit.
@@ -66,21 +62,11 @@ def _position_moments(state: EigenState, grid: SpatialGrid) -> tuple[float, floa
         raise NumericalError(
             f"variance {variance} is negative beyond rounding", state_index=state.index
         )
-    return m1, m2, float(np.sqrt(max(variance, 0.0)))
+    return ObservableRecord(
+        state_index=state.index, mean_x=m1, sigma_x=float(np.sqrt(max(variance, 0.0)))
+    )
 
 
 def uncertainty(state: EigenState, grid: SpatialGrid) -> float:
     """Position spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0."""
-    return _position_moments(state, grid)[2]
-
-
-def position_record(state: EigenState, grid: SpatialGrid, params: ModelParams) -> ObservableRecord:
-    m1, m2, sigma = _position_moments(state, grid)
-    return ObservableRecord(
-        state_index=state.index,
-        mean_x=m1,
-        mean_x2=m2,
-        sigma_x=sigma,
-        depth=depth(params),
-        params=params,
-    )
+    return position_record(state, grid).sigma_x

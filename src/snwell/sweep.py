@@ -28,6 +28,7 @@ import logging
 import math
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +62,9 @@ logger = logging.getLogger(__name__)
 OUTPUT_KINDS = ("spectrum", "observables", "wigner", "probability", "contours")
 DEFAULT_OUTPUTS = frozenset({"spectrum", "observables", "probability", "contours"})
 
-RECORD_COLUMNS = (
-    "alpha",
-    "depth",
-    "state_index",
-    "energy",
-    "mean_x",
-    "sigma_x",
-    "nonreactive_prob",
-    "boundary_amplitude",
-)
+# header keys that load_wigner_grid needs to rebuild a field
+_WIGNER_KEYS = ("mu", "alpha", "hbar", "mass", "state_index", "energy",
+                "x_window", "x_points", "p_window", "p_points")
 
 
 @dataclass(frozen=True)
@@ -136,6 +130,10 @@ class SweepRecord:
     boundary_amplitude: float
 
 
+# the columns of records.csv, in SweepRecord's field order
+RECORD_COLUMNS = tuple(f.name for f in dataclass_fields(SweepRecord))
+
+
 @dataclass(frozen=True)
 class PointFailure:
     alpha: float
@@ -157,7 +155,6 @@ class SweepPointError(RuntimeError):
 
 @dataclass
 class _PointData:
-    params: ModelParams
     spectrum: Spectrum
     records: list = field(default_factory=list)
     fields: list = field(default_factory=list)
@@ -176,7 +173,7 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
     want_prob = "probability" in cfg.outputs
     want_wigner = "wigner" in cfg.outputs
 
-    data = _PointData(params=params, spectrum=spectrum)
+    data = _PointData(spectrum=spectrum)
     # without Wigner files the probabilities come straight from the
     # correlation matrices; with them, from the fields as emit_wigner_grid does
     if want_prob and not want_wigner:
@@ -186,7 +183,7 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
     for state, prob in zip(spectrum.states, probs):
         mean_x = sigma_x = math.nan
         if want_obs:
-            rec = position_record(state, grid, params)
+            rec = position_record(state, grid)
             mean_x, sigma_x = rec.mean_x, rec.sigma_x
         if want_wigner:
             w = wigner_transform(state, grid, pgrid, params)
@@ -213,48 +210,54 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
     return data
 
 
-def _config_header(cfg: SweepConfig) -> list[str]:
-    return [
-        f"# mu = {_fmt(cfg.mu)}",
-        f"# hbar = {_fmt(cfg.hbar)}",
-        f"# mass = {_fmt(cfg.mass)}",
-        f"# domain = {_fmt(cfg.domain[0])} {_fmt(cfg.domain[1])}",
-        f"# pdomain = {_fmt(cfg.momentum_domain[0])} {_fmt(cfg.momentum_domain[1])}",
-        f"# n_points = {cfg.n_points}",
-        f"# n_states = {cfg.n_states}",
-        f"# alpha = {' '.join(_fmt(a) for a in cfg.alpha_values)}",
-        f"# outputs = {' '.join(sorted(cfg.outputs))}",
-    ]
+def _header(title: str, fields: list[tuple[str, object]]) -> list[str]:
+    """'# title', then one '# key = value' line per (key, value) field, in order.
+
+    A str value is written as it is; any other value is a number or a
+    sequence of numbers, written as space-separated _fmt floats.
+    """
+    lines = [f"# {title}"]
+    for key, value in fields:
+        if not isinstance(value, str):
+            value = " ".join(_fmt(v) for v in np.atleast_1d(value))
+        lines.append(f"# {key} = {value}")
+    return lines
 
 
-def _params_header(params: ModelParams, grid) -> list[str]:
+def _point_fields(spectrum: Spectrum) -> list[tuple[str, object]]:
+    """Header fields of the per-alpha files: the parameter set and the x grid."""
+    params, grid = spectrum.params, spectrum.grid
     return [
-        f"# mu = {_fmt(params.mu)}",
-        f"# alpha = {_fmt(params.alpha)}",
-        f"# hbar = {_fmt(params.hbar)}",
-        f"# mass = {_fmt(params.mass)}",
-        f"# domain = {_fmt(grid.a)} {_fmt(grid.b)}",
-        f"# n_points = {grid.n_points}",
+        ("mu", params.mu),
+        ("alpha", params.alpha),
+        ("hbar", params.hbar),
+        ("mass", params.mass),
+        ("domain", (grid.a, grid.b)),
+        ("n_points", str(grid.n_points)),
     ]
 
 
 def _write_records(path: Path, cfg: SweepConfig, records: list[SweepRecord]) -> None:
-    lines = ["# snwell sweep records"]
-    lines += _config_header(cfg)
+    lines = _header(
+        "snwell sweep records",
+        [
+            ("mu", cfg.mu),
+            ("hbar", cfg.hbar),
+            ("mass", cfg.mass),
+            ("domain", cfg.domain),
+            ("pdomain", cfg.momentum_domain),
+            ("n_points", str(cfg.n_points)),
+            ("n_states", str(cfg.n_states)),
+            ("alpha", cfg.alpha_values),
+            ("outputs", " ".join(sorted(cfg.outputs))),
+        ],
+    )
     lines.append(",".join(RECORD_COLUMNS))
     for r in sorted(records, key=lambda r: (r.alpha, r.state_index)):
         lines.append(
             ",".join(
-                (
-                    _fmt(r.alpha),
-                    _fmt(r.depth),
-                    str(r.state_index),
-                    _fmt(r.energy),
-                    _fmt(r.mean_x),
-                    _fmt(r.sigma_x),
-                    _fmt(r.nonreactive_prob),
-                    _fmt(r.boundary_amplitude),
-                )
+                str(r.state_index) if c == "state_index" else _fmt(getattr(r, c))
+                for c in RECORD_COLUMNS
             )
         )
     path.write_text("\n".join(lines) + "\n")
@@ -262,10 +265,8 @@ def _write_records(path: Path, cfg: SweepConfig, records: list[SweepRecord]) -> 
 
 def _write_spectrum(path: Path, data: _PointData) -> None:
     spectrum = data.spectrum
-    lines = ["# snwell spectrum"]
-    lines += _params_header(data.params, spectrum.grid)
-    for state in spectrum.states:
-        lines.append(f"# energy_{state.index} = {_fmt(state.energy)}")
+    energies = [(f"energy_{s.index}", s.energy) for s in spectrum.states]
+    lines = _header("snwell spectrum", _point_fields(spectrum) + energies)
     lines.append("x," + ",".join(f"psi_{s.index}" for s in spectrum.states))
     columns = [spectrum.grid.points] + [s.values for s in spectrum.states]
     for row in zip(*columns):
@@ -273,9 +274,8 @@ def _write_spectrum(path: Path, data: _PointData) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_contours(path: Path, data: _PointData, grid) -> None:
-    lines = ["# snwell classical level sets at e = E_n"]
-    lines += _params_header(data.params, grid)
+def _write_contours(path: Path, data: _PointData) -> None:
+    lines = _header("snwell classical level sets at e = E_n", _point_fields(data.spectrum))
     lines.append("state_index,energy,x,p")
     for index, energy, pts in data.contours:
         for x, p in pts:
@@ -293,22 +293,23 @@ def emit_wigner_grid(w: WignerField, path) -> None:
     """
     path = Path(path)
     xg, pg = w.spatial_grid, w.momentum_grid
-    prob = nonreactive_probability(w, w.params)
-    lines = [
-        "# snwell wigner grid",
-        f"# mu = {_fmt(w.params.mu)}",
-        f"# alpha = {_fmt(w.params.alpha)}",
-        f"# hbar = {_fmt(w.params.hbar)}",
-        f"# mass = {_fmt(w.params.mass)}",
-        f"# state_index = {w.state_index}",
-        f"# energy = {_fmt(w.energy)}",
-        f"# x_window = {_fmt(xg.a)} {_fmt(xg.b)}",
-        f"# x_points = {xg.n_points}",
-        f"# p_window = {_fmt(pg.c)} {_fmt(pg.d)}",
-        f"# p_points = {pg.n_points}",
-        f"# nonreactive_prob = {_fmt(prob)}",
-        "# layout = rows x, columns p",
-    ]
+    lines = _header(
+        "snwell wigner grid",
+        [
+            ("mu", w.params.mu),
+            ("alpha", w.params.alpha),
+            ("hbar", w.params.hbar),
+            ("mass", w.params.mass),
+            ("state_index", str(w.state_index)),
+            ("energy", w.energy),
+            ("x_window", (xg.a, xg.b)),
+            ("x_points", str(xg.n_points)),
+            ("p_window", (pg.c, pg.d)),
+            ("p_points", str(pg.n_points)),
+            ("nonreactive_prob", nonreactive_probability(w, w.params)),
+            ("layout", "rows x, columns p"),
+        ],
+    )
     lines.extend(" ".join(_fmt(v) for v in row) for row in w.values)
     path.write_text("\n".join(lines) + "\n")
 
@@ -329,6 +330,9 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta[key.strip()] = value.strip()
+    missing = [key for key in _WIGNER_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: header has no {', '.join(missing)} line")
     values = np.loadtxt(path)
     shape = (int(meta["x_points"]), int(meta["p_points"]))
     if values.shape != shape:
@@ -409,7 +413,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         if "spectrum" in cfg.outputs:
             _write_spectrum(outdir / f"spectrum_{tag}.csv", data)
         if "contours" in cfg.outputs:
-            _write_contours(outdir / f"contours_{tag}.csv", data, grid)
+            _write_contours(outdir / f"contours_{tag}.csv", data)
         for w in data.fields:
             emit_wigner_grid(w, outdir / f"wigner_{tag}_n{w.state_index}.dat")
 

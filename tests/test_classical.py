@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from snwell import (
     ConfigurationError,
-    EquilibriumKind,
     ModelParams,
-    TrajectoryClass,
-    classify_energy,
     contour_points,
     depth,
-    equilibria,
+    expand_about_centre,
     hamiltonian,
     make_grid,
     potential,
@@ -70,35 +67,21 @@ def test_depth_reference_values():
 
 
 def test_equilibria_examples():
-    sad, cen = equilibria(ModelParams(4.0, 2.0))
-    assert sad.kind is EquilibriumKind.SADDLE
-    assert sad.position == 0.0 and sad.energy == 0.0
-    assert cen.kind is EquilibriumKind.CENTRE
-    assert cen.position == pytest.approx(2.0, rel=1e-14)
-    assert cen.energy == pytest.approx(-8.0 / 3.0, rel=1e-14)
-
-    _, cen1 = equilibria(ModelParams(4.0, 1.0))
-    assert cen1.position == pytest.approx(4.0, rel=1e-14)
-    assert cen1.energy == pytest.approx(-32.0 / 3.0, rel=1e-14)
+    # the saddle sits at x = 0 with V = 0, the centre at 2 sqrt(mu) / alpha with V = -D
+    assert potential(ModelParams(4.0, 2.0), 0.0) == 0.0
+    for alpha, x_centre, v_centre in ((2.0, 2.0, -8.0 / 3.0), (1.0, 4.0, -32.0 / 3.0)):
+        params = ModelParams(4.0, alpha)
+        centre = expand_about_centre(params).center
+        assert centre == pytest.approx(x_centre, rel=1e-14)
+        assert potential(params, centre) == pytest.approx(v_centre, rel=1e-14)
 
 
 def test_equilibria_degenerate_at_bifurcation():
-    (only,) = equilibria(ModelParams(0.0, 1.0))
-    assert only.kind is EquilibriumKind.DEGENERATE
-    assert only.position == 0.0 and only.energy == 0.0
-
-
-def test_classify_energy_convention():
-    assert classify_energy(2.0) is TrajectoryClass.REACTIVE
-    assert classify_energy(-5.0) is TrajectoryClass.NONREACTIVE
-    assert classify_energy(0.0) is TrajectoryClass.NONREACTIVE
-
-
-@given(e1=st.floats(-1e6, 1e6), e2=st.floats(-1e6, 1e6))
-def test_classify_energy_monotone(e1, e2):
-    lo, hi = min(e1, e2), max(e1, e2)
-    if classify_energy(lo) is TrajectoryClass.REACTIVE:
-        assert classify_energy(hi) is TrajectoryClass.REACTIVE
+    # at mu = 0 the centre has merged into the saddle: no expansion point, no depth
+    params = ModelParams(0.0, 1.0)
+    with pytest.raises(ValueError):
+        expand_about_centre(params)
+    assert depth(params) == 0.0 and potential(params, 0.0) == 0.0
 
 
 @given(params=params_st)
@@ -111,10 +94,10 @@ def test_saddle_anchored_at_origin(params):
 
 @given(params=params_st)
 def test_centre_energy_is_minus_depth(params):
-    _, centre = equilibria(params)
-    v_centre = potential(params, centre.position)
+    approx = expand_about_centre(params)
+    v_centre = potential(params, approx.center)
     assert v_centre == pytest.approx(-depth(params), rel=1e-11)
-    assert centre.energy == pytest.approx(-depth(params), rel=1e-14)
+    assert approx.offset == pytest.approx(-depth(params), rel=1e-14)
 
 
 @given(params=params_st)
@@ -122,7 +105,7 @@ def test_curvature_signs_at_equilibria(params):
     # second central difference of a cubic has no truncation error, so a
     # wide step only reduces cancellation noise
     h = 1e-2
-    saddle, centre = equilibria(params)
+    centre = expand_about_centre(params).center
 
     def second_diff(x0):
         return (
@@ -130,8 +113,8 @@ def test_curvature_signs_at_equilibria(params):
         ) / h**2
 
     expected = 2.0 * math.sqrt(params.mu)
-    assert second_diff(saddle.position) == pytest.approx(-expected, rel=1e-5)
-    assert second_diff(centre.position) == pytest.approx(expected, rel=1e-5)
+    assert second_diff(0.0) == pytest.approx(-expected, rel=1e-5)
+    assert second_diff(centre) == pytest.approx(expected, rel=1e-5)
 
 
 @given(

@@ -30,6 +30,14 @@ def test_repeatable_alpha_flag():
     assert cfg.alpha_values == (1.5, 0.5)
 
 
+def test_window_flags_take_every_negative_float_spelling():
+    # argparse's stock test reads '-1e3' and '-inf' as unknown options
+    assert parse(["--domain", "-1e3", "9"]).domain == (-1000.0, 9.0)
+    assert parse(["--domain", "-1E+1", "-.5"]).domain == (-10.0, -0.5)
+    args = build_parser().parse_args(["--pdomain", "-inf", "6", "--mu", "-Infinity"])
+    assert args.pdomain == [-float("inf"), 6.0] and args.mu == -float("inf")
+
+
 def test_outputs_flag_accepts_commas():
     cfg = parse(["--outputs", "spectrum,contours"])
     assert cfg.outputs == frozenset({"spectrum", "contours"})
@@ -121,9 +129,7 @@ def test_non_finite_range_count_exits_2(tmp_path, capsys, count):
 def test_non_finite_window_exits_2(tmp_path, capsys, key, window):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(f"{key} = {window}\nalpha = 1\n")
-    runs = [["--config", str(cfg_file)]]
-    if not window.startswith("-inf"):  # argparse would take '-inf' for an option
-        runs.append([f"--{key}", *window.split(), "--alpha", "1"])
+    runs = [["--config", str(cfg_file)], [f"--{key}", *window.split(), "--alpha", "1"]]
     for argv in runs:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+import snwell.eigensolve
 from snwell import (
     ConfigurationError,
     EigenState,
     ModelParams,
+    NumericalError,
     assemble,
     eigenvalue_residual,
     make_grid,
     solve,
 )
-from snwell.eigensolve import RESIDUAL_RTOL, _orthonormalize_clusters
+from snwell.eigensolve import RESIDUAL_RTOL
 
 from conftest import fd_hamiltonian
 
@@ -147,26 +149,34 @@ def test_residual_grows_linearly_in_perturbation(saddle_grid, deep_params, deep_
     assert residuals[2] / residuals[1] == pytest.approx(2.0, rel=1e-3)
 
 
-def test_cluster_orthonormalization_orders_by_amplitude_index():
-    e_late = np.zeros(6)
-    e_late[4] = 1.0
-    e_early = np.zeros(6)
-    e_early[1] = 1.0
-    mixed = np.column_stack(
-        [
-            (e_late + 0.3 * e_early) / np.linalg.norm(e_late + 0.3 * e_early),
-            (e_late - 0.2 * e_early) / np.linalg.norm(e_late - 0.2 * e_early),
-        ]
-    )
-    w = np.array([2.0, 2.0 + 1e-12])
-    w2, v2 = _orthonormalize_clusters(w.copy(), mixed.copy())
-    np.testing.assert_allclose(v2.T @ v2, np.eye(2), atol=1e-12)
-    assert [int(np.argmax(np.abs(v2[:, i]))) for i in range(2)] == [1, 4]
+def _patched_solver(monkeypatch, edit):
+    """Make solve() see the real eigenpairs with edit(w) applied to the eigenvalues."""
+    real = snwell.eigensolve.eigh_tridiagonal
+
+    def patched(*args, **kwargs):
+        w, v = real(*args, **kwargs)
+        w = w.copy()
+        edit(w)
+        return w, v
+
+    monkeypatch.setattr(snwell.eigensolve, "eigh_tridiagonal", patched)
 
 
-def test_cluster_pass_leaves_separated_eigenvalues_alone():
-    w = np.array([1.0, 2.0, 3.0])
-    v = np.eye(3)
-    w2, v2 = _orthonormalize_clusters(w.copy(), v.copy())
-    np.testing.assert_array_equal(w2, w)
-    np.testing.assert_array_equal(v2, v)
+def test_nan_eigenvalue_fails_the_residual_check(monkeypatch, saddle_grid, deep_params):
+    def poison(w):
+        w[2] = np.nan
+
+    _patched_solver(monkeypatch, poison)
+    with pytest.raises(NumericalError, match="residual") as excinfo:
+        solve(assemble(deep_params, saddle_grid), 4)
+    assert excinfo.value.state_index == 2
+
+
+def test_clustered_eigenvalues_raise(monkeypatch, saddle_grid, deep_params):
+    def merge(w):
+        w[2] = w[1] * (1.0 + 1e-12)
+
+    _patched_solver(monkeypatch, merge)
+    with pytest.raises(NumericalError, match="cluster") as excinfo:
+        solve(assemble(deep_params, saddle_grid), 4)
+    assert excinfo.value.state_index == 1

@@ -5,8 +5,7 @@ from snwell import (
     EigenState,
     ModelParams,
     assemble,
-    depth,
-    equilibria,
+    expand_about_centre,
     make_grid,
     moment,
     position_record,
@@ -47,10 +46,10 @@ def test_harmonic_widths_match_analytic_values(shifted_harmonic):
 def test_means_between_saddle_and_centre(alpha, saddle_grid):
     params = ModelParams(4.0, alpha)
     s = solve(assemble(params, saddle_grid), 3)
-    _, centre = equilibria(params)
+    centre = expand_about_centre(params).center
     for st in s.states:
         mean = moment(st, saddle_grid, 1)
-        assert 0.0 < mean < centre.position
+        assert 0.0 < mean < centre
 
 
 def test_mean_decreases_with_state_index_in_deep_wells(saddle_grid):
@@ -90,19 +89,19 @@ def test_widths_flatten_in_the_deep_limit(saddle_grid):
 
 def test_variance_never_negative(deep_spectrum, saddle_grid):
     for st in deep_spectrum.states:
-        rec = position_record(st, saddle_grid, deep_spectrum.params)
-        assert rec.mean_x2 >= rec.mean_x**2 - 1e-12
+        rec = position_record(st, saddle_grid)
+        assert moment(st, saddle_grid, 2) >= rec.mean_x**2 - 1e-12
         assert rec.sigma_x >= 0.0
 
 
-def test_position_record_consistent_with_moments(deep_spectrum, saddle_grid, deep_params):
+def test_position_record_consistent_with_moments(deep_spectrum, saddle_grid):
     st = deep_spectrum.states[1]
-    rec = position_record(st, saddle_grid, deep_params)
+    rec = position_record(st, saddle_grid)
+    m1, m2 = moment(st, saddle_grid, 1), moment(st, saddle_grid, 2)
     assert rec.state_index == 1
-    assert rec.mean_x == moment(st, saddle_grid, 1)
-    assert rec.mean_x2 == moment(st, saddle_grid, 2)
+    assert rec.mean_x == m1
+    assert rec.sigma_x == np.sqrt(m2 - m1 * m1)
     assert rec.sigma_x == uncertainty(st, saddle_grid)
-    assert rec.depth == depth(deep_params)
 
 
 def test_unnormalized_state_rejected(deep_spectrum, saddle_grid):

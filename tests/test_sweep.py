@@ -234,6 +234,17 @@ def test_truncated_wigner_file_rejected(tmp_path, deep_spectrum, saddle_grid, mo
         load_wigner_grid(path)
 
 
+def test_wigner_file_without_a_header_key_rejected(tmp_path, deep_spectrum, saddle_grid,
+                                                 momentum_grid, deep_params):
+    w = wigner_transform(deep_spectrum.states[0], saddle_grid, momentum_grid, deep_params)
+    path = tmp_path / "field.dat"
+    emit_wigner_grid(w, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(x for x in lines if not x.startswith("# p_points")) + "\n")
+    with pytest.raises(ValueError, match="p_points"):
+        load_wigner_grid(path)
+
+
 def test_serial_and_parallel_trees_identical(tmp_path):
     trees = {}
     for label, threads in (("serial", 1), ("parallel", 2)):
