@@ -1,8 +1,10 @@
 """Lowest eigenpairs of the tridiagonal Hamiltonian, with fixed conventions.
 
 The heavy lifting is LAPACK bisection + inverse iteration on the symmetric
-tridiagonal matrix (scipy.linalg.eigh_tridiagonal with an index range), which
-is deterministic bit-for-bit for identical inputs and needs O(N k) memory.
+tridiagonal matrix (dstebz then dstein, called in _lapack through the
+OpenBLAS that numpy already loads, or through scipy's eigh_tridiagonal where
+numpy's build does not export them), which is deterministic bit-for-bit for
+identical inputs and needs O(N k) memory.
 On top of that this module enforces the conventions every downstream
 consumer relies on:
 
@@ -24,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
+from . import _lapack
 from .classical import ModelParams
 from .discretize import DiscreteHamiltonian, SpatialGrid
 from .errors import ConfigurationError, NumericalError
@@ -78,10 +80,7 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
     m = h.diagonal.size
     if not 1 <= k <= m:
         raise ConfigurationError(f"k must be in 1..{m}, got {k}")
-    try:
-        w, v = eigh_tridiagonal(h.diagonal, h.off_diagonal, select="i", select_range=(0, k - 1))
-    except LinAlgError as exc:
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+    w, v = _lapack.lowest_eigenpairs(h.diagonal, h.off_diagonal, k)
 
     close = np.flatnonzero(np.diff(w) < CLUSTER_RTOL * np.maximum(np.abs(w[1:]), 1.0))
     if close.size:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import snwell.cli
@@ -18,6 +23,13 @@ def test_defaults_mirror_standard_setup():
     assert cfg.n_points == 599 and cfg.n_states == 5
     assert cfg.hbar == 1.0 and cfg.mass == 1.0
     assert cfg.threads == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg used to be most of the command's start-up time
+    env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]))
+    code = "import snwell.cli, sys; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_alpha_range_flag():

@@ -1,7 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-import snwell.eigensolve
+import snwell._lapack
 from snwell import (
     ConfigurationError,
     EigenState,
@@ -95,6 +98,24 @@ def test_resolving_is_bitwise_deterministic(saddle_grid, deep_params):
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_concurrent_solves_equal_serial_bitwise(saddle_grid):
+    # LAPACK runs without the interpreter lock, so these solves truly overlap
+    hs = [assemble(ModelParams(4.0, float(a)), saddle_grid) for a in np.linspace(1.0, 5.0, 40)]
+    serial = [solve(h, 5) for h in hs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                threaded = pool.map(lambda h: solve(h, 5), hs, timeout=60)
+                for a, b in zip(serial, threaded, strict=True):
+                    np.testing.assert_array_equal(a.energies, b.energies)
+                    for sa, sb in zip(a.states, b.states, strict=True):
+                        np.testing.assert_array_equal(sa.values, sb.values)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_energies_decrease_as_depth_grows(saddle_grid):
     per_state = {n: [] for n in range(3)}
     for alpha in (5.0, 3.0, 2.0, 1.0):  # ascending depth
@@ -151,7 +172,7 @@ def test_residual_grows_linearly_in_perturbation(saddle_grid, deep_params, deep_
 
 def _patched_solver(monkeypatch, edit):
     """Make solve() see the real eigenpairs with edit(w) applied to the eigenvalues."""
-    real = snwell.eigensolve.eigh_tridiagonal
+    real = snwell._lapack.lowest_eigenpairs
 
     def patched(*args, **kwargs):
         w, v = real(*args, **kwargs)
@@ -159,7 +180,7 @@ def _patched_solver(monkeypatch, edit):
         edit(w)
         return w, v
 
-    monkeypatch.setattr(snwell.eigensolve, "eigh_tridiagonal", patched)
+    monkeypatch.setattr(snwell._lapack, "lowest_eigenpairs", patched)
 
 
 def test_nan_eigenvalue_fails_the_residual_check(monkeypatch, saddle_grid, deep_params):
