@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of lowest eigenstates (default 5)")
     parser.add_argument("--hbar", type=float, help="reduced Planck constant (default 1)")
     parser.add_argument("--mass", type=float, help="particle mass (default 1)")
-    parser.add_argument("--outputs", metavar="LIST",
+    parser.add_argument("--outputs", type=_output_set, metavar="LIST",
                         help=f"comma or space separated subset of {OUTPUT_KINDS} "
                         f"(default: {' '.join(sorted(DEFAULT_OUTPUTS))})")
     parser.add_argument("--out", type=Path, metavar="DIR", help="output directory")
@@ -91,8 +91,8 @@ def parse_config_file(path: Path) -> dict[str, list[str]]:
     """Read a flat key = value file; repeated keys accumulate in order."""
     entries: dict[str, list[str]] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,6 +151,10 @@ def _resolve_alphas(args, entries) -> tuple[float, ...] | None:
     return None
 
 
+def _output_set(text: str) -> frozenset:
+    return frozenset(text.replace(",", " ").split())
+
+
 def _parse_bool(text: str, key: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -160,55 +164,46 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ConfigurationError(f"'{key}' must be a boolean, got {text!r}")
 
 
+# every config key but alpha and alpha_range: (SweepConfig field, parser of
+# the file's text); the flag of the same name, when given, wins
+_CONFIG_KEYS = {
+    "mu": ("mu", float),
+    "hbar": ("hbar", float),
+    "mass": ("mass", float),
+    "n_points": ("n_points", int),
+    "n_states": ("n_states", int),
+    "threads": ("threads", int),
+    "domain": ("domain", lambda t: _floats(t, "domain", 2)),
+    "pdomain": ("momentum_domain", lambda t: _floats(t, "pdomain", 2)),
+    "out": ("output_dir", Path),
+    "fail_fast": ("fail_fast", lambda t: _parse_bool(t, "fail_fast")),
+    "outputs": ("outputs", _output_set),
+}
+
+
 def config_from_args(args: argparse.Namespace) -> SweepConfig:
     """Merge CLI flags over config-file entries over the defaults."""
     entries = parse_config_file(args.config) if args.config else {}
-    known = {"mu", "alpha", "alpha_range", "domain", "pdomain", "n_points", "n_states",
-             "hbar", "mass", "outputs", "out", "fail_fast", "threads"}
-    unknown = set(entries) - known
+    unknown = set(entries) - set(_CONFIG_KEYS) - {"alpha", "alpha_range"}
     if unknown:
         raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
 
-    defaults = SweepConfig()
     kwargs = {}
-
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        raw = _scalar(entries, key)
+    for key, (name, parse) in _CONFIG_KEYS.items():
+        value = getattr(args, key)
+        raw = _scalar(entries, key) if value is None else None
         if raw is not None:
             try:
-                return convert(raw)
+                value = parse(raw)
             except ConfigurationError:
                 raise
             except ValueError as exc:
                 raise ConfigurationError(f"'{key}': {exc}") from exc
-        return default
-
-    kwargs["mu"] = pick(args.mu, "mu", float, defaults.mu)
-    kwargs["hbar"] = pick(args.hbar, "hbar", float, defaults.hbar)
-    kwargs["mass"] = pick(args.mass, "mass", float, defaults.mass)
-    kwargs["n_points"] = pick(args.n_points, "n_points", int, defaults.n_points)
-    kwargs["n_states"] = pick(args.n_states, "n_states", int, defaults.n_states)
-    kwargs["threads"] = pick(args.threads, "threads", int, defaults.threads)
-    kwargs["domain"] = tuple(
-        pick(args.domain, "domain", lambda t: _floats(t, "domain", 2), defaults.domain)
-    )
-    kwargs["momentum_domain"] = tuple(
-        pick(args.pdomain, "pdomain", lambda t: _floats(t, "pdomain", 2),
-             defaults.momentum_domain)
-    )
-    kwargs["output_dir"] = Path(pick(args.out, "out", Path, defaults.output_dir))
-    kwargs["fail_fast"] = pick(
-        args.fail_fast, "fail_fast", lambda t: _parse_bool(t, "fail_fast"), defaults.fail_fast
-    )
-    outputs = pick(args.outputs, "outputs", str, None)
-    if outputs is None:
-        kwargs["outputs"] = defaults.outputs
-    else:
-        kwargs["outputs"] = frozenset(outputs.replace(",", " ").split())
+        if value is not None:
+            kwargs[name] = tuple(value) if isinstance(value, list) else value  # nargs=2
     alphas = _resolve_alphas(args, entries)
-    kwargs["alpha_values"] = defaults.alpha_values if alphas is None else alphas
+    if alphas is not None:
+        kwargs["alpha_values"] = alphas
     return SweepConfig(**kwargs)
 
 

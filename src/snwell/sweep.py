@@ -4,9 +4,13 @@ One sweep point = one alpha value: assemble the matrix, solve the lowest
 n_states pairs, then (depending on the requested outputs) position
 observables, Wigner fields, the nonreactive probability, and classical
 contours at e = E_n.  Points are independent work items, computed one after
-another by default or, with threads > 1, on a bounded thread pool; results
-are written in a fixed order afterwards, so serial and parallel runs of the
-same config produce byte-identical trees.
+another by default or, with threads > 1, on a bounded thread pool.  A point
+computes everything, writes its files (each to a temporary file moved into
+place) and keeps only its records; records.csv is written last.  A failed
+point, a failed write included, leaves none of its files; with fail_fast,
+finished points keep theirs and records.csv is not written.  No file depends
+on the order points finish in, so serial and parallel runs of the same
+config produce byte-identical trees.
 
 File formats (all plain text, all embedding the full parameter set as
 leading '# key = value' lines; floats are printed with repr round-trip
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -142,23 +147,13 @@ class PointFailure:
 
 
 class SweepPointError(RuntimeError):
-    """One or more sweep points failed; successful points were still written."""
+    """One or more sweep points failed; the other points' files were still written."""
 
     def __init__(self, failures: list[PointFailure], records: list[SweepRecord]):
-        lines = ", ".join(
-            f"(alpha={f.alpha}, n={f.state_index}): {f.message}" for f in failures
-        )
+        lines = ", ".join(f"(alpha={f.alpha}, n={f.state_index}): {f.message}" for f in failures)
         super().__init__(f"{len(failures)} sweep point(s) failed: {lines}")
         self.failures = failures
         self.records = records
-
-
-@dataclass
-class _PointData:
-    spectrum: Spectrum
-    records: list = field(default_factory=list)
-    fields: list = field(default_factory=list)
-    contours: list = field(default_factory=list)
 
 
 def _fmt(x) -> str:
@@ -166,14 +161,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
+def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> list[SweepRecord]:
+    """Compute one alpha point, then write all of its files or none; return its records."""
     params = ModelParams(mu=cfg.mu, alpha=alpha, hbar=cfg.hbar, mass=cfg.mass)
     spectrum = solve(assemble(params, grid), cfg.n_states)
-    want_obs = "observables" in cfg.outputs
     want_prob = "probability" in cfg.outputs
     want_wigner = "wigner" in cfg.outputs
 
-    data = _PointData(spectrum=spectrum)
+    records, wigner_fields = [], []
     # without Wigner files the probabilities come straight from the
     # correlation matrices; with them, from the fields as emit_wigner_grid does
     if want_prob and not want_wigner:
@@ -182,32 +177,39 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float) -> _PointData:
         probs = [math.nan] * len(spectrum.states)
     for state, prob in zip(spectrum.states, probs):
         mean_x = sigma_x = math.nan
-        if want_obs:
+        if "observables" in cfg.outputs:
             rec = position_record(state, grid)
             mean_x, sigma_x = rec.mean_x, rec.sigma_x
         if want_wigner:
             w = wigner_transform(state, grid, pgrid, params)
             if want_prob:
                 prob = nonreactive_probability(w, params)
-            data.fields.append(w)
-        data.records.append(
-            SweepRecord(
-                alpha=alpha,
-                depth=depth(params),
-                state_index=state.index,
-                energy=state.energy,
-                mean_x=mean_x,
-                sigma_x=sigma_x,
-                nonreactive_prob=prob,
-                boundary_amplitude=state.boundary_amplitude,
-            )
-        )
+            wigner_fields.append(w)
+        records.append(SweepRecord(
+            alpha=alpha, depth=depth(params), state_index=state.index, energy=state.energy,
+            mean_x=mean_x, sigma_x=sigma_x, nonreactive_prob=prob,
+            boundary_amplitude=state.boundary_amplitude,
+        ))
     if "contours" in cfg.outputs:
-        data.contours = [
-            (state.index, state.energy, contour_points(params, state.energy, grid))
-            for state in spectrum.states
-        ]
-    return data
+        contours = [contour_points(params, s.energy, grid) for s in spectrum.states]
+
+    tag = _fmt(alpha)
+    written = []
+    try:
+        if "spectrum" in cfg.outputs:
+            written.append(outdir / f"spectrum_{tag}.csv")
+            _write_spectrum(written[-1], spectrum)
+        if "contours" in cfg.outputs:
+            written.append(outdir / f"contours_{tag}.csv")
+            _write_contours(written[-1], spectrum, contours)
+        for w in wigner_fields:
+            written.append(outdir / f"wigner_{tag}_n{w.state_index}.dat")
+            emit_wigner_grid(w, written[-1])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return records
 
 
 def _header(title: str, fields: list[tuple[str, object]]) -> list[str]:
@@ -237,6 +239,17 @@ def _point_fields(spectrum: Spectrum) -> list[tuple[str, object]]:
     ]
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write the lines to a temporary file next to path, then move it into place."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_records(path: Path, cfg: SweepConfig, records: list[SweepRecord]) -> None:
     lines = _header(
         "snwell sweep records",
@@ -260,27 +273,26 @@ def _write_records(path: Path, cfg: SweepConfig, records: list[SweepRecord]) -> 
                 for c in RECORD_COLUMNS
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def _write_spectrum(path: Path, data: _PointData) -> None:
-    spectrum = data.spectrum
+def _write_spectrum(path: Path, spectrum: Spectrum) -> None:
     energies = [(f"energy_{s.index}", s.energy) for s in spectrum.states]
     lines = _header("snwell spectrum", _point_fields(spectrum) + energies)
     lines.append("x," + ",".join(f"psi_{s.index}" for s in spectrum.states))
     columns = [spectrum.grid.points] + [s.values for s in spectrum.states]
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def _write_contours(path: Path, data: _PointData) -> None:
-    lines = _header("snwell classical level sets at e = E_n", _point_fields(data.spectrum))
+def _write_contours(path: Path, spectrum: Spectrum, contours: list) -> None:
+    lines = _header("snwell classical level sets at e = E_n", _point_fields(spectrum))
     lines.append("state_index,energy,x,p")
-    for index, energy, pts in data.contours:
+    for state, pts in zip(spectrum.states, contours):
         for x, p in pts:
-            lines.append(f"{index},{_fmt(energy)},{_fmt(x)},{_fmt(p)}")
-    path.write_text("\n".join(lines) + "\n")
+            lines.append(f"{state.index},{_fmt(state.energy)},{_fmt(x)},{_fmt(p)}")
+    _write_lines(path, lines)
 
 
 def emit_wigner_grid(w: WignerField, path) -> None:
@@ -311,7 +323,7 @@ def emit_wigner_grid(w: WignerField, path) -> None:
         ],
     )
     lines.extend(" ".join(_fmt(v) for v in row) for row in w.values)
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_wigner_grid(path) -> tuple[WignerField, dict]:
@@ -361,24 +373,27 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run every alpha point, write the requested files, return all records.
 
-    Point failures are logged with their (alpha, n) and do not stop the other
-    points unless cfg.fail_fast; if any occurred, a SweepPointError carrying
-    the failure list (and the successful records) is raised after the
-    remaining points were computed and written.
+    Point failures (a failed write included) are logged with their (alpha, n)
+    and do not stop the other points unless cfg.fail_fast; if any occurred, a
+    SweepPointError carrying the failure list (and the successful records) is
+    raised after the remaining points were computed and written.
     """
     grid = make_grid(cfg.domain[0], cfg.domain[1], cfg.n_points)
     pgrid = make_momentum_grid(cfg.momentum_domain[0], cfg.momentum_domain[1], cfg.n_points)
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create the output directory: {exc}") from exc
 
     n_points = len(cfg.alpha_values)
-    results: list[_PointData | None] = [None] * n_points
+    results: list[list[SweepRecord]] = [[] for _ in range(n_points)]
     failures: list[PointFailure] = []
 
     def capture(i: int):
         alpha = cfg.alpha_values[i]
         try:
-            results[i] = _sweep_point(cfg, grid, pgrid, alpha)
+            results[i] = _sweep_point(cfg, grid, pgrid, alpha, outdir)
         except Exception as exc:
             failure = PointFailure(
                 alpha=alpha, state_index=getattr(exc, "state_index", None), message=str(exc)
@@ -398,25 +413,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             for fut in pending:
                 fut.cancel()
             for fut in done:
-                if not fut.cancelled() and fut.exception() is not None:
-                    raise fut.exception()
+                fut.result()  # re-raises a fail_fast abort
 
-    records: list[SweepRecord] = []
-    for data in results:
-        if data is not None:
-            records.extend(data.records)
+    records = [r for point in results for r in point]
     _write_records(outdir / "records.csv", cfg, records)
-    for i, data in enumerate(results):
-        if data is None:
-            continue
-        tag = _fmt(cfg.alpha_values[i])
-        if "spectrum" in cfg.outputs:
-            _write_spectrum(outdir / f"spectrum_{tag}.csv", data)
-        if "contours" in cfg.outputs:
-            _write_contours(outdir / f"contours_{tag}.csv", data)
-        for w in data.fields:
-            emit_wigner_grid(w, outdir / f"wigner_{tag}_n{w.state_index}.dat")
-
     if failures:
         # threads finish in any order; report in the order the alphas were given
         failures.sort(key=lambda f: cfg.alpha_values.index(f.alpha))

@@ -96,11 +96,12 @@ def test_config_file_alpha_range(tmp_path):
         "mu = 4\nmu = 5\n",
         "alpha = 1\nalpha_range = 1 2 3\n",
         "n_points = many\n",
+        b"\xff\xfe",  # not UTF-8
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, content):
     cfg_file = tmp_path / "sweep.cfg"
-    cfg_file.write_text(content)
+    cfg_file.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main(["--config", str(cfg_file)]) == 2
 
 
@@ -165,6 +166,17 @@ def test_unusable_finite_window_exits_2(tmp_path, capsys, entries):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_uncreatable_output_directory_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    for out in (blocker, blocker / "sub"):
+        argv = ["--alpha", "2", "--n-points", "149", "--n-states", "2",
+                "--outputs", "observables", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
 
 
 def test_successful_run_exits_0(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from snwell import (
 )
 
 SMALL = dict(n_points=149, n_states=2)
+ALL_OUTPUTS = frozenset(snwell.sweep.OUTPUT_KINDS)
 
 
 def read_table(path):
@@ -246,18 +248,97 @@ def test_wigner_file_without_a_header_key_rejected(tmp_path, deep_spectrum, sadd
 
 
 def test_serial_and_parallel_trees_identical(tmp_path):
-    trees = {}
-    for label, threads in (("serial", 1), ("parallel", 2)):
-        out = tmp_path / label
-        cfg = SweepConfig(
-            alpha_values=(0.8, 1.7, 2.9, 4.1),
-            output_dir=out,
-            threads=threads,
-            **SMALL,
-        )
-        run_sweep(cfg)
-        trees[label] = tree_digest(out)
-    assert trees["serial"] == trees["parallel"]
+    # the Wigner set too: its files are written from the worker threads
+    for k, outputs in enumerate((snwell.sweep.DEFAULT_OUTPUTS, ALL_OUTPUTS)):
+        trees = {}
+        for threads in (1, 2):
+            out = tmp_path / f"set{k}_threads{threads}"
+            cfg = SweepConfig(
+                alpha_values=(0.8, 1.7, 2.9, 4.1),
+                outputs=outputs,
+                output_dir=out,
+                threads=threads,
+                **SMALL,
+            )
+            run_sweep(cfg)
+            trees[threads] = tree_digest(out)
+        assert trees[1] == trees[2]
+
+
+def test_each_point_writes_its_files_before_the_next_point_starts(tmp_path, monkeypatch):
+    real_solve = snwell.sweep.solve
+    seen = []
+
+    def recording_solve(h, k):
+        seen.append({p.name for p in tmp_path.iterdir()})
+        return real_solve(h, k)
+
+    monkeypatch.setattr(snwell.sweep, "solve", recording_solve)
+    cfg = SweepConfig(
+        alpha_values=(1.0, 2.0, 5.0),
+        outputs=ALL_OUTPUTS,
+        output_dir=tmp_path,
+        threads=1,
+        **SMALL,
+    )
+    run_sweep(cfg)
+    point_files = [
+        {f"spectrum_{a}.csv", f"contours_{a}.csv", f"wigner_{a}_n0.dat", f"wigner_{a}_n1.dat"}
+        for a in ("1.0", "2.0", "5.0")
+    ]
+    assert seen == [set(), point_files[0], point_files[0] | point_files[1]]
+    assert {p.name for p in tmp_path.iterdir()} == set().union(*point_files, {"records.csv"})
+
+
+def _disk_full_halfway(monkeypatch, name_part):
+    """Make Path.write_text write half its data, then fail, for names holding name_part."""
+    real_write_text = Path.write_text
+
+    def write_text(self, data, *args, **kwargs):
+        if name_part in self.name:
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        return real_write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def test_failed_rewrite_keeps_the_old_file(tmp_path, monkeypatch, deep_spectrum, saddle_grid,
+                                            momentum_grid, deep_params):
+    w = wigner_transform(deep_spectrum.states[0], saddle_grid, momentum_grid, deep_params)
+    path = tmp_path / "field.dat"
+    emit_wigner_grid(w, path)
+    before = path.read_bytes()
+    _disk_full_halfway(monkeypatch, "field")
+    with pytest.raises(OSError, match="No space left"):
+        emit_wigner_grid(w, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["field.dat"]
+    assert path.read_bytes() == before
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    cfg = SweepConfig(
+        alpha_values=(1.0, 2.0, 5.0),
+        outputs=ALL_OUTPUTS,
+        output_dir=tmp_path / "clean",
+        threads=1,
+        **SMALL,
+    )
+    run_sweep(cfg)
+    clean = tree_digest(tmp_path / "clean")
+
+    _disk_full_halfway(monkeypatch, "wigner_2.0_n1")
+    out = tmp_path / "failed"
+    with pytest.raises(SweepPointError) as excinfo:
+        run_sweep(replace(cfg, output_dir=out))
+    (failure,) = excinfo.value.failures
+    assert failure.alpha == 2.0 and "No space left" in failure.message
+    # no temporary file, nothing of the failed point; the others' files intact
+    survived = tree_digest(out)
+    del survived["records.csv"], clean["records.csv"]
+    assert survived == {k: v for k, v in clean.items() if "2.0" not in k}
+    _, _, rows = read_table(out / "records.csv")
+    assert sorted({row[0] for row in rows}) == ["1.0", "5.0"]
 
 
 def test_point_failure_reported_and_others_survive(tmp_path, monkeypatch):
