@@ -1,9 +1,10 @@
 """Command line front end for the sweep driver.
 
-Configuration comes from an optional flat `key = value` file plus flags;
-flags override file entries, both override the built-in defaults (mu = 4,
-alpha in {1, 2, 5}, window [-1, 9] x [-6, 6], N = 599, 5 states).  The only
-repeated-key convention in the file is `alpha`, listed once per value:
+Configuration comes from an optional flat `key = value` file plus flags, over
+the built-in defaults (mu = 4, alpha in {1, 2, 5}, window [-1, 9] x [-6, 6],
+N = 599, 5 states).  Each file key is a flag's name, written with `-` or `_`,
+and the flag's own parser reads its value; `alpha` may repeat, one value per
+line, and `fail_fast` takes `true` or `false`:
 
     mu = 4
     alpha = 1
@@ -12,8 +13,11 @@ repeated-key convention in the file is `alpha`, listed once per value:
     outputs = spectrum observables probability contours
     out = results
 
-Exit status: 0 on full success, 1 if any sweep point failed, 2 on a
-configuration problem.
+A flag replaces the file's value of its key; `--alpha` or `--alpha-range`
+replaces both of the file's alpha keys.
+
+Exit status: 0 on full success, 1 if any sweep point failed or records.csv
+could not be written, 2 on a configuration problem.
 """
 
 from __future__ import annotations
@@ -105,106 +109,72 @@ def parse_config_file(path: Path) -> dict[str, list[str]]:
     return entries
 
 
-def _scalar(entries: dict[str, list[str]], key: str) -> str | None:
-    values = entries.get(key)
-    if values is None:
-        return None
-    if len(values) > 1:
-        raise ConfigurationError(f"config key '{key}' appears {len(values)} times")
-    return values[0]
-
-
-def _floats(text: str, key: str, count: int) -> tuple[float, ...]:
-    parts = text.split()
-    if len(parts) != count:
-        raise ConfigurationError(f"'{key}' needs {count} numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigurationError(f"'{key}': {exc}") from exc
-
-
 def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
     if not math.isfinite(count) or count != int(count) or count < 1:
         raise ConfigurationError(f"alpha range count must be a positive integer, got {count}")
     return tuple(float(a) for a in np.linspace(start, stop, int(count)))
 
 
-def _resolve_alphas(args, entries) -> tuple[float, ...] | None:
-    if args.alpha is not None and args.alpha_range is not None:
-        raise ConfigurationError("--alpha and --alpha-range are mutually exclusive")
-    if args.alpha is not None:
-        return tuple(args.alpha)
-    if args.alpha_range is not None:
-        return _alpha_list(*args.alpha_range)
-    file_alphas = entries.get("alpha")
-    file_range = _scalar(entries, "alpha_range")
-    if file_alphas is not None and file_range is not None:
-        raise ConfigurationError("config sets both 'alpha' and 'alpha_range'")
-    if file_alphas is not None:
-        try:
-            return tuple(float(a) for a in file_alphas)
-        except ValueError as exc:
-            raise ConfigurationError(f"'alpha': {exc}") from exc
-    if file_range is not None:
-        return _alpha_list(*_floats(file_range, "alpha_range", 3))
-    return None
-
-
 def _output_set(text: str) -> frozenset:
     return frozenset(text.replace(",", " ").split())
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _fail_fast_token(text: str) -> list[str]:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
-        return True
+        return ["--fail-fast"]
     if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigurationError(f"'{key}' must be a boolean, got {text!r}")
+        return []
+    raise ConfigurationError(f"'fail_fast' must be a boolean, got {text!r}")
 
 
-# every config key but alpha and alpha_range: (SweepConfig field, parser of
-# the file's text); the flag of the same name, when given, wins
-_CONFIG_KEYS = {
-    "mu": ("mu", float),
-    "hbar": ("hbar", float),
-    "mass": ("mass", float),
-    "n_points": ("n_points", int),
-    "n_states": ("n_states", int),
-    "threads": ("threads", int),
-    "domain": ("domain", lambda t: _floats(t, "domain", 2)),
-    "pdomain": ("momentum_domain", lambda t: _floats(t, "pdomain", 2)),
-    "out": ("output_dir", Path),
-    "fail_fast": ("fail_fast", lambda t: _parse_bool(t, "fail_fast")),
-    "outputs": ("outputs", _output_set),
-}
+def _parse_config_entries(path: Path) -> argparse.Namespace:
+    """Parse the file's entries as the flags of the same names."""
+    parser = build_parser()
+    parser.exit_on_error = False
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    tokens = []
+    for key, values in parse_config_file(path).items():
+        if key not in actions:
+            raise ConfigurationError(f"unknown config key '{key}'")
+        if len(values) > 1 and key != "alpha":
+            raise ConfigurationError(f"config key '{key}' appears {len(values)} times")
+        nargs, flag = actions[key].nargs, actions[key].option_strings[0]
+        for value in values:
+            if nargs == 0:
+                tokens += _fail_fast_token(value)
+            elif nargs is None:
+                tokens.append(f"{flag}={value}")  # one value, even if it starts with '-'
+            elif len(value.split()) == nargs:
+                tokens += [flag, *value.split()]
+            else:  # extra parts could pass for other flags
+                raise ConfigurationError(f"'{key}' needs {nargs} values, got {value!r}")
+    try:
+        namespace, extra = parser.parse_known_args(tokens)
+    except argparse.ArgumentError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    if extra:
+        raise ConfigurationError(f"{path}: unexpected values {extra}")
+    return namespace
+
+
+# the flags whose SweepConfig field has another name
+_FIELDS = {"alpha": "alpha_values", "pdomain": "momentum_domain", "out": "output_dir"}
 
 
 def config_from_args(args: argparse.Namespace) -> SweepConfig:
     """Merge CLI flags over config-file entries over the defaults."""
-    entries = parse_config_file(args.config) if args.config else {}
-    unknown = set(entries) - set(_CONFIG_KEYS) - {"alpha", "alpha_range"}
-    if unknown:
-        raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-
-    kwargs = {}
-    for key, (name, parse) in _CONFIG_KEYS.items():
-        value = getattr(args, key)
-        raw = _scalar(entries, key) if value is None else None
-        if raw is not None:
-            try:
-                value = parse(raw)
-            except ConfigurationError:
-                raise
-            except ValueError as exc:
-                raise ConfigurationError(f"'{key}': {exc}") from exc
-        if value is not None:
-            kwargs[name] = tuple(value) if isinstance(value, list) else value  # nargs=2
-    alphas = _resolve_alphas(args, entries)
-    if alphas is not None:
-        kwargs["alpha_values"] = alphas
-    return SweepConfig(**kwargs)
+    values = vars(_parse_config_entries(args.config)) if args.config else {}
+    if args.alpha is not None or args.alpha_range is not None:
+        values.update(alpha=None, alpha_range=None)  # the flags replace both keys
+    values.update((k, v) for k, v in vars(args).items() if v is not None)
+    alpha_range = values.pop("alpha_range", None)
+    if alpha_range is not None:
+        if values.get("alpha") is not None:
+            raise ConfigurationError("alpha and alpha_range are mutually exclusive")
+        values["alpha"] = _alpha_list(*alpha_range)
+    return SweepConfig(**{_FIELDS.get(k, k): tuple(v) if isinstance(v, list) else v
+                          for k, v in values.items() if v is not None and k != "config"})
 
 
 def main(argv=None) -> int:
@@ -212,21 +182,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = config_from_args(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         records = run_sweep(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SweepPointError as exc:
-        for failure in exc.failures:
-            print(
-                f"sweep point alpha={failure.alpha} n={failure.state_index} failed: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
+        for f in exc.failures:
+            print(f"sweep point alpha={f.alpha} n={f.state_index} failed: {f.message}",
+                  file=sys.stderr)
+        return 1
+    except OSError as exc:  # a point's own write failures are point failures
+        print(f"error: cannot write records.csv: {exc}", file=sys.stderr)
         return 1
     print(
         f"wrote {len(records)} records for {len(cfg.alpha_values)} alpha value(s) "

@@ -1,4 +1,6 @@
+import errno
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import snwell.cli
+import snwell.sweep
 from snwell.cli import build_parser, config_from_args, main
 from snwell.sweep import PointFailure, SweepPointError
 
@@ -70,6 +73,7 @@ def test_config_file_merging(tmp_path):
         "n-points = 149\n"
         "n_states = 2\n"
         "outputs = observables\n"
+        "pdomain = -5 5\n"
         f"out = {tmp_path / 'results'}\n"
     )
     cfg = parse(["--config", str(cfg_file), "--n-states", "3"])
@@ -78,6 +82,7 @@ def test_config_file_merging(tmp_path):
     assert cfg.n_points == 149
     assert cfg.n_states == 3  # flag wins over file
     assert cfg.outputs == frozenset({"observables"})
+    assert cfg.momentum_domain == (-5.0, 5.0)
     assert str(cfg.output_dir).endswith("results")
 
 
@@ -97,12 +102,51 @@ def test_config_file_alpha_range(tmp_path):
         "alpha = 1\nalpha_range = 1 2 3\n",
         "n_points = many\n",
         b"\xff\xfe",  # not UTF-8
+        "domain = 1 2 3\n",
+        "domain = 1 2 --mass 3\n",  # extra parts must not pass for another flag
+        "alpha_range = 1 2\n",
+        "config = other.cfg\n",
+        "fail_fast = maybe\n",
     ],
 )
-def test_bad_config_files_exit_2(tmp_path, content):
+def test_bad_config_files_exit_2(tmp_path, capsys, content):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main(["--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err and "usage:" not in err
+
+
+# key, its file value, the same value as flag arguments, and a second value as flags
+PARITY_CASES = [
+    ("mu", "3", ["--mu", "3"], ["--mu", "5"]),
+    ("hbar", "0.5", ["--hbar", "0.5"], ["--hbar", "2"]),
+    ("mass", "2", ["--mass", "2"], ["--mass", "3"]),
+    ("n_points", "149", ["--n-points", "149"], ["--n-points", "201"]),
+    ("n_states", "2", ["--n-states", "2"], ["--n-states", "3"]),
+    ("threads", "2", ["--threads", "2"], ["--threads", "3"]),
+    ("domain", "-2 8", ["--domain", "-2", "8"], ["--domain", "-1.5", "7"]),
+    ("pdomain", "-5e0 6", ["--pdomain", "-5e0", "6"], ["--pdomain", "-7", "7"]),
+    ("outputs", "spectrum observables", ["--outputs", "spectrum observables"],
+     ["--outputs", "contours"]),
+    ("out", "some dir", ["--out", "some dir"], ["--out", "other"]),
+    ("out", "-results", ["--out=-results"], ["--out", "other"]),
+    ("alpha", "1\nalpha = 2.5", ["--alpha", "1", "--alpha", "2.5"],
+     ["--alpha-range", "1", "2", "3"]),
+    ("alpha_range", "2 4 3", ["--alpha-range", "2", "4", "3"], ["--alpha", "7"]),
+    ("fail_fast", "true", ["--fail-fast"], ["--fail-fast"]),
+    ("fail_fast", "false", [], ["--fail-fast"]),
+]
+
+
+@pytest.mark.parametrize("key,value,flags,override", PARITY_CASES)
+def test_config_key_parses_as_its_flag(tmp_path, key, value, flags, override):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    config = ["--config", str(cfg_file)]
+    assert parse(config) == parse(flags)
+    assert parse(config + override) == parse(override)  # the flag replaces the file's value
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -189,6 +233,18 @@ def test_successful_run_exits_0(tmp_path, capsys):
     assert "2 records" in capsys.readouterr().out
 
 
+def test_unwritable_records_file_exits_1(tmp_path, monkeypatch, capsys):
+    def disk_full(path, cfg, records):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(snwell.sweep, "_write_records", disk_full)
+    argv = ["--alpha", "2", "--n-points", "149", "--n-states", "2",
+            "--outputs", "observables", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write records.csv" in err and "Traceback" not in err
+
+
 def test_point_failure_exits_1(tmp_path, monkeypatch):
     def exploding(cfg):
         raise SweepPointError([PointFailure(2.0, None, "synthetic")], [])
@@ -201,3 +257,10 @@ def test_help_exits_0():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+def test_readme_flag_list_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Flags:"):].split("\n\n", 1)[0]
+    options = {s for a in build_parser()._actions for s in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options - {"-h", "--help"}
