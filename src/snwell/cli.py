@@ -17,7 +17,8 @@ A flag replaces the file's value of its key; `--alpha` or `--alpha-range`
 replaces both of the file's alpha keys.
 
 Exit status: 0 on full success, 1 if any sweep point failed or records.csv
-could not be written, 2 on a configuration problem.
+could not be written, 2 on a configuration problem in the file or the flags
+(argparse prints its usage and message for a flag).
 """
 
 from __future__ import annotations
@@ -81,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--outputs", type=_output_set, metavar="LIST",
                         help=f"comma or space separated subset of {OUTPUT_KINDS} "
                         f"(default: {' '.join(sorted(DEFAULT_OUTPUTS))})")
-    parser.add_argument("--out", type=Path, metavar="DIR", help="output directory")
+    parser.add_argument("--out", type=_directory, metavar="DIR", help="output directory")
     parser.add_argument("--fail-fast", action="store_true", default=None,
                         help="abort on the first failing sweep point")
     parser.add_argument("--threads", type=int, metavar="T",
-                        help="sweep points run at once on a thread pool; the default 1 "
-                        "runs them serially, T > 1 opts into the pool")
+                        help="sweep points run at once on a thread pool (default: the "
+                        "CPUs this process may use); 1 runs them serially")
     parser._negative_number_matcher = _NegativeFloat()
     return parser
 
@@ -116,7 +117,16 @@ def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
 
 
 def _output_set(text: str) -> frozenset:
-    return frozenset(text.replace(",", " ").split())
+    kinds = frozenset(text.replace(",", " ").split())
+    if not kinds:
+        raise argparse.ArgumentTypeError("needs at least one output kind")
+    return kinds
+
+
+def _directory(text: str) -> Path:
+    if not text:  # Path("") would be the current directory
+        raise argparse.ArgumentTypeError("needs a directory name")
+    return Path(text)
 
 
 def _fail_fast_token(text: str) -> list[str]:
@@ -178,7 +188,12 @@ def config_from_args(args: argparse.Namespace) -> SweepConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage and message
+        if exc.code == 0:  # --help
+            raise
+        return 2
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = config_from_args(args)

@@ -3,10 +3,14 @@
 One sweep point = one alpha value: assemble the matrix, solve the lowest
 n_states pairs, then (depending on the requested outputs) position
 observables, Wigner fields, the nonreactive probability, and classical
-contours at e = E_n.  Points are independent work items, computed one after
-another by default or, with threads > 1, on a bounded thread pool.  A point
-computes everything, writes its files (each to a temporary file moved into
-place) and keeps only its records; records.csv is written last.  A failed
+contours at e = E_n.  Points are independent work items, computed on a
+thread pool of min(threads, points) workers, threads defaulting to the CPUs
+this process may run on; threads = 1 or a single point runs serially.  The
+eigensolver and most numpy work release the interpreter lock, and the
+probability kernel works in fixed-size blocks, so memory grows with the
+threads in use, not with the number of points.  A point computes
+everything, writes its files (each to a temporary file moved into place)
+and keeps only its records; records.csv is written last.  A failed
 point, a failed write included, leaves none of its files; with fail_fast,
 finished points keep theirs and records.csv is not written.  No file depends
 on the order points finish in, so serial and parallel runs of the same
@@ -32,7 +36,7 @@ import logging
 import math
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -67,15 +71,26 @@ logger = logging.getLogger(__name__)
 OUTPUT_KINDS = ("spectrum", "observables", "wigner", "probability", "contours")
 DEFAULT_OUTPUTS = frozenset({"spectrum", "observables", "probability", "contours"})
 
+# seconds between the pool's checks for an interrupt
+_POLL_S = 0.1
+
 # header keys that load_wigner_grid needs to rebuild a field
 _WIGNER_KEYS = ("mu", "alpha", "hbar", "mass", "state_index", "energy",
                 "x_window", "x_points", "p_window", "p_points")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one sweep run depends on.  Defaults are the standard setup:
-    mu = 4, window [-1, 9] x [-6, 6], N = 599, five states, hbar = m = 1."""
+    mu = 4, window [-1, 9] x [-6, 6], N = 599, five states, hbar = m = 1,
+    and one sweep point in flight per usable CPU."""
 
     mu: float = 4.0
     alpha_values: tuple[float, ...] = (1.0, 2.0, 5.0)
@@ -88,7 +103,7 @@ class SweepConfig:
     outputs: frozenset = DEFAULT_OUTPUTS
     output_dir: Path = Path("sweep_out")
     fail_fast: bool = False
-    threads: int = 1
+    threads: int = field(default_factory=_usable_cpus)
 
     def __post_init__(self):
         if len(self.alpha_values) < 1:
@@ -403,16 +418,26 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             if cfg.fail_fast:
                 raise SweepPointError([failure], []) from exc
 
-    if cfg.threads == 1 or n_points == 1:
+    workers = min(cfg.threads, n_points)
+    if workers == 1:
         for i in range(n_points):
             capture(i)
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
             futures = [pool.submit(capture, i) for i in range(n_points)]
-            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-            for fut in pending:
-                fut.cancel()
-            for fut in done:
+            while True:
+                # wake now and then: Ctrl-C is only raised once the main
+                # thread runs, not while it sleeps until a point finishes
+                done, pending = wait(futures, _POLL_S, return_when=FIRST_EXCEPTION)
+                if not pending or any(fut.exception() for fut in done):
+                    break
+        finally:
+            # after a fail_fast abort or an interrupt (Ctrl-C), queued points
+            # never start; the points in flight finish their files
+            pool.shutdown(cancel_futures=True)
+        for fut in futures:
+            if not fut.cancelled():
                 fut.result()  # re-raises a fail_fast abort
 
     records = [r for point in results for r in point]

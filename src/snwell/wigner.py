@@ -32,13 +32,16 @@ sign of the exact one), and p^2 / 2m falls and then rises along the
 ascending momentum grid.  Since p^2 / 2m >= 0, a row can hold a region
 cell only where V(x_j) <= 0, i.e. up to x = 3 sqrt(mu) / alpha; past the
 last such row, stop, K vanishes exactly, and with a, l >= 0 every term
-with a + l >= stop does too.  So only a, l < stop are formed: at mu = 4 on
-the standard window that is 70 % of the full table at alpha = 1, 10 % at
-alpha = 5 and a quarter over alpha in [1, 5].  K is a difference of
-prefix sums of the cached cosine table, G a sheared view of it built once
-per alpha, and each state then costs one O(stop L) elementwise contraction
-against a stride-2 view of psi: no BLAS call, no correlation matrix and no
-N x N array.
+with a + l >= stop does too; psi(x_a + 2 l dx) vanishes once a + 2l >= N.
+So only the terms with a + l < stop and a + 2l < N are formed: at mu = 4
+on the standard window that is 41 % of the N (L + 1) table at alpha = 1,
+5 % at alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from prefix
+sums of the cached cosine table in blocks of consecutive left points a, a
+block's arrays holding about _BLOCK_DOUBLES (2^15) entries so that it
+stays in L2 cache, and every state is contracted against each block in one
+einsum with stride-2 views of the stacked psi: no BLAS call, no correlation
+matrix and no array larger than one block.  Each sum over l runs from
+l = 0 upward whatever the block size, so the blocks do not change a bit.
 Probability-only sweeps never build a field; their values agree with
 nonreactive_probability(wigner_transform(...)) to 1e-14 (the two sums run in
 a different order).  The cosine table and its prefix sums depend only on the
@@ -128,6 +131,10 @@ class _PhaseKernel:
 
 _kernel_lock = threading.Lock()
 
+# entries in each block of nonreactive_probabilities' work arrays: 256 KB of
+# doubles, so that a block stays in L2 cache
+_BLOCK_DOUBLES = 1 << 15
+
 
 def _phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _PhaseKernel:
     """The cached kernel; sweep points that start together wait for one build."""
@@ -140,18 +147,19 @@ def _build_phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _Phas
     lmax = (xg.n_points - 1) // 2
     eta = 2.0 * xg.dx * np.arange(lmax + 1)
     pts = pg.points
-    if np.array_equal(pts[::-1], -pts):
-        # mirrored momentum columns share one evaluation: the p -> -p symmetry
-        # of the cosine kernel then holds bitwise (a plain full matrix product
-        # would not guarantee that, BLAS may round column blocks differently)
-        half = pg.n_points - (pg.n_points + 1) // 2
-        cos_table = np.cos(np.outer(eta, pts[half:]) / hbar)
-        full = np.concatenate((cos_table[:, ::-1][:, :half], cos_table), axis=1)
-    else:
-        half = 0
-        cos_table = full = np.cos(np.outer(eta, np.abs(pts)) / hbar)
+    # mirrored momentum columns share one evaluation: the p -> -p symmetry of
+    # the cosine kernel then holds bitwise (a plain full matrix product would
+    # not guarantee that, BLAS may round column blocks differently)
+    half = pg.n_points - (pg.n_points + 1) // 2 if np.array_equal(pts[::-1], -pts) else 0
+    cos_table = np.outer(eta, np.abs(pts[half:]))
+    cos_table /= hbar
+    np.cos(cos_table, out=cos_table)
+    # the full table is written straight into the prefix buffer and summed there
     prefix = np.zeros((lmax + 1, pg.n_points + 1))
-    np.cumsum(full, axis=1, out=prefix[:, 1:])
+    full = prefix[:, 1:]
+    full[:, half:] = cos_table
+    full[:, :half] = cos_table[:, ::-1][:, :half]
+    np.cumsum(full, axis=1, out=full)
     prefix[1:] *= 2.0
     for table in (cos_table, prefix):
         table.flags.writeable = False
@@ -264,13 +272,17 @@ def nonreactive_probabilities(
     The same H(x_j, p_k) <= 0 cells, their row bounds taken exactly in
     O(N log N) (see _region_bounds).  Rows from stop (one past the last row
     with a region cell) on contribute exact zeros, so the sheared region sums
-    G of the module docstring are formed only for offsets l < stop and left
-    points a < stop, once for all states; each state then costs one
-    elementwise O(stop L) contraction with a stride-2 view of psi and one
-    length-stop dot, in numpy's own loops: no BLAS call, no correlation
-    matrix.  With no region cell at all every probability is 0.0.  Agrees
-    with nonreactive_probability(wigner_transform(...)) to 1e-14 absolute,
-    not bitwise (the sums run in a different order).
+    G of the module docstring are formed only for left points a < stop, in
+    blocks of consecutive a of about _BLOCK_DOUBLES entries, each block with
+    only the offsets l whose terms can be nonzero (a + l < stop and
+    a + 2l < N).  Every state is contracted against a block in one einsum
+    over the stacked, zero-padded psi, then takes one length-stop dot: no
+    BLAS call and no correlation matrix.  Each sum over l runs in ascending
+    order from l = 0 and the terms left out are exact zeros, so the result
+    does not depend on the block size.  With no region cell at all every
+    probability is 0.0.  Agrees with
+    nonreactive_probability(wigner_transform(...)) to 1e-14 absolute, not
+    bitwise (the sums run in a different order).
     """
     for state in states:
         _check_state(state, xg)
@@ -278,30 +290,44 @@ def nonreactive_probabilities(
     allowed = np.flatnonzero(count)
     if allowed.size == 0:
         return [0.0] * len(states)
-    # rows from stop on have empty regions, so every term with a + l >= stop
-    # is an exact zero; only a, l < stop are formed
     stop = int(allowed[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
-    prefix = _phase_kernel(xg, pg, params.hbar).prefix[: lmax + 1]
-    # region[l, j] = c_l K[j, l] for j < stop, zero beyond, in a flat buffer
-    # with lmax spare entries so that the sheared view below stays inside it
-    flat = np.zeros((lmax + 1) * n + lmax)
-    region = flat[: (lmax + 1) * n].reshape(lmax + 1, n)
-    high = np.take(prefix, first[:stop] + count[:stop], axis=1)
-    low = np.take(prefix, first[:stop], axis=1)
-    np.subtract(high, low, out=region[:, :stop])
-    # g[l, a] = region[l, a + l]; where a + l >= n it reads the next row's
-    # finite entries, which only ever meet the zero padding of psi
-    step = flat.itemsize
-    g = as_strided(flat, shape=(lmax + 1, stop), strides=((n + 1) * step, step), writeable=False)
-    padded = np.zeros(n + 2 * lmax)
-    # far[l, a] = psi(x_a + 2 l dx), zero beyond the window
-    far = as_strided(padded, shape=(lmax + 1, stop), strides=(2 * step, step), writeable=False)
+    prefix = _phase_kernel(xg, pg, params.hbar).prefix
+    # the prefix columns that bound row j's region; the rows from stop on get
+    # low == high, so their region sums are exact zeros
+    low = np.zeros(stop + lmax, dtype=np.intp)
+    high = np.zeros(stop + lmax, dtype=np.intp)
+    low[:stop] = first[:stop]
+    high[:stop] = first[:stop] + count[:stop]
+    row_starts = (np.arange(lmax + 1) * prefix.shape[1])[:, None]
+    # padded[s, m] = psi_s(x_m), zero beyond the window
+    padded = np.zeros((len(states), n + 2 * lmax))
+    for s, state in enumerate(states):
+        padded[s, :n] = state.values
+    inner = np.empty((len(states), stop))
+    size = max(_BLOCK_DOUBLES, lmax + 1)
+    index, g_buffer, low_buffer = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+    step, istep = padded.itemsize, index.itemsize
+    a0 = 0
+    while a0 < stop:
+        rows = min(stop - a0, (n - 1 - a0) // 2 + 1)
+        width = min(max(1, _BLOCK_DOUBLES // rows), stop - a0)
+        shape = (rows, width)
+        # g[l, a] = G[l, a0 + a] = prefix[l, high[j]] - prefix[l, low[j]], j = a0 + a + l
+        # < stop + lmax; the indices are in range by construction, and
+        # mode="clip" lets take write straight into its output buffer
+        i, g = index[: rows * width].reshape(shape), g_buffer[: rows * width].reshape(shape)
+        hankel = (istep, istep)  # [l, a] -> entry a0 + a + l
+        np.add(row_starts[:rows], as_strided(high[a0:], shape, hankel, writeable=False), out=i)
+        np.take(prefix, i, out=g, mode="clip")
+        np.add(row_starts[:rows], as_strided(low[a0:], shape, hankel, writeable=False), out=i)
+        g -= np.take(prefix, i, out=low_buffer[: rows * width].reshape(shape), mode="clip")
+        # far[s, l, a] = psi_s(x_(a0 + a) + 2 l dx)
+        far = as_strided(padded[:, a0:], (len(states), rows, width),
+                         (padded.strides[0], 2 * step, step), writeable=False)
+        np.einsum("la,sla->sa", g, far, out=inner[:, a0 : a0 + width])
+        a0 += width
     scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
-    probs = []
-    for state in states:
-        padded[:n] = state.values
-        inner = np.einsum("la,la->a", g, far)
-        probs.append(float(np.einsum("a,a->", state.values[:stop], inner)) * scale)
-    return probs
+    return [float(np.einsum("a,a->", state.values[:stop], inner[s])) * scale
+            for s, state in enumerate(states)]

@@ -25,7 +25,8 @@ def test_defaults_mirror_standard_setup():
     assert cfg.momentum_domain == (-6.0, 6.0)
     assert cfg.n_points == 599 and cfg.n_states == 5
     assert cfg.hbar == 1.0 and cfg.mass == 1.0
-    assert cfg.threads == 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert cfg.threads == cpus
 
 
 def test_import_loads_no_scipy():
@@ -107,6 +108,9 @@ def test_config_file_alpha_range(tmp_path):
         "alpha_range = 1 2\n",
         "config = other.cfg\n",
         "fail_fast = maybe\n",
+        "outputs =\n",
+        "outputs = , ,\n",
+        "out =\n",
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, capsys, content):
@@ -251,6 +255,24 @@ def test_point_failure_exits_1(tmp_path, monkeypatch):
 
     monkeypatch.setattr(snwell.cli, "run_sweep", exploding)
     assert main(["--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bogus"],
+        ["--n-points", "many"],
+        ["--outputs", ""],
+        ["--outputs", ","],
+        ["--out", ""],
+    ],
+)
+def test_bad_flags_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # a run that went ahead would write here
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "error: " in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_help_exits_0():

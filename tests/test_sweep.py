@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import signal
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -80,20 +83,70 @@ def test_config_validation(kwargs):
         SweepConfig(**kwargs)
 
 
-def test_sweep_is_serial_by_default(tmp_path, monkeypatch):
-    assert SweepConfig().threads == 1
+def test_sweep_uses_a_pool_of_usable_cpus_by_default(tmp_path, monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert SweepConfig().threads == cpus
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a default sweep must not start a thread pool")
+    pools = []
+    real_pool = snwell.sweep.ThreadPoolExecutor
 
-    monkeypatch.setattr(snwell.sweep, "ThreadPoolExecutor", no_pool)
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(snwell.sweep, "ThreadPoolExecutor", recording_pool)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for alphas in ((1.0, 2.0, 3.0), (1.0,)):
+        cfg = SweepConfig(
+            alpha_values=alphas,
+            outputs=frozenset({"observables"}),
+            output_dir=tmp_path / str(len(alphas)),
+            **SMALL,
+        )
+        assert cfg.threads == 4
+        assert len(run_sweep(cfg)) == 2 * len(alphas)
+    # three points on four CPUs: three workers; a single point runs serially
+    assert pools == [3]
+
+
+def test_interrupted_pooled_sweep_starts_no_further_point(tmp_path, monkeypatch):
+    started = []
+    waiting = threading.Event()
+    real_solve, real_wait = snwell.sweep.solve, snwell.sweep.wait
+
+    def slow_solve(h, k):
+        started.append(h.params.alpha)
+        # Ctrl-C once every point is queued and the first points run
+        if len(started) == 1 and waiting.wait(timeout=10):
+            os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.5)
+        return real_solve(h, k)
+
+    def recording_wait(*args, **kwargs):
+        waiting.set()
+        return real_wait(*args, **kwargs)
+
+    monkeypatch.setattr(snwell.sweep, "solve", slow_solve)
+    monkeypatch.setattr(snwell.sweep, "wait", recording_wait)
     cfg = SweepConfig(
-        alpha_values=(1.0, 2.0),
+        alpha_values=tuple(1.0 + 0.5 * i for i in range(8)),
         outputs=frozenset({"observables"}),
         output_dir=tmp_path,
+        threads=2,
         **SMALL,
     )
-    assert len(run_sweep(cfg)) == 4
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cfg)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    time.sleep(0.3)  # a point still queued would start in this time
+    assert waiting.is_set() and len(started) <= 2
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_single_point_sweep_matches_direct_calls(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from snwell import (
     wigner_transform,
 )
 
+import snwell.wigner
 from snwell.classical import hamiltonian
 from snwell.wigner import _build_phase_kernel, _correlation_matrix, _phase_kernel, _region_bounds
 
@@ -349,6 +351,91 @@ def test_fused_probabilities_grid_mismatch_rejected(deep_spectrum, momentum_grid
     wrong = make_grid(-1.0, 9.0, 149)
     with pytest.raises(ValueError):
         nonreactive_probabilities(deep_spectrum.states, wrong, momentum_grid, deep_params)
+
+
+def unblocked_probabilities(states, xg, pg, params):
+    """The sheared sum of the module docstring over every a, l < stop in one
+    piece, each sum over l taken term by term from l = 0 upward."""
+    first, count = _region_bounds(xg, pg, params)
+    stop = int(np.flatnonzero(count)[-1]) + 1
+    n = xg.n_points
+    lmax = min((n - 1) // 2, stop - 1)
+    prefix = _phase_kernel(xg, pg, params.hbar).prefix
+    region = np.zeros((lmax + 1, stop + lmax))  # region[l, j] = G[l, j - l]
+    for l in range(lmax + 1):
+        region[l, :stop] = prefix[l, first[:stop] + count[:stop]] - prefix[l, first[:stop]]
+    scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
+    probs = []
+    for state in states:
+        padded = np.zeros(n + 2 * lmax)
+        padded[:n] = state.values
+        inner = np.zeros(stop)
+        for l in range(lmax + 1):
+            inner += region[l, l : l + stop] * padded[2 * l : 2 * l + stop]
+        probs.append(float(np.einsum("a,a->", state.values[:stop], inner)) * scale)
+    return probs
+
+
+# the width of the first block of left points against stop, the number of them
+BLOCK_WIDTHS = {
+    "one_block": lambda stop: stop + 1,
+    "divides_stop": lambda stop: next(w for w in range(2, stop) if stop % w == 0),
+    "one_more_than_a_multiple": lambda stop: next(w for w in range(3, stop) if stop % w == 1),
+    "one_less_than_a_multiple": lambda stop: next(w for w in range(3, stop) if stop % w == w - 1),
+    "one_point_per_block": lambda stop: 1,
+}
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCK_WIDTHS))
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.5, 5.0])
+def test_blocked_probabilities_equal_the_unblocked_sum_bitwise(monkeypatch, alpha, blocks):
+    # stop = 104, 75, 51, 33 against L + 1 = 75: the offsets of a block are cut
+    # by a + 2l < N at alpha = 1, by a + l < stop at alpha = 2.5 and 5
+    grid = make_grid(-1.0, 9.0, 149)
+    pg = make_momentum_grid(-6.0, 6.0, 149)
+    params = ModelParams(4.0, alpha)
+    states = solve(assemble(params, grid), 5).states
+    stop = np.flatnonzero(_region_bounds(grid, pg, params)[1])[-1] + 1
+    first_rows = min(stop, (grid.n_points - 1) // 2 + 1)  # the offsets of the first block
+    monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", first_rows * BLOCK_WIDTHS[blocks](stop))
+    assert nonreactive_probabilities(states, grid, pg, params) == unblocked_probabilities(
+        states, grid, pg, params
+    )
+
+
+def test_probability_kernel_memory_stays_within_its_blocks():
+    grid = make_grid(-1.0, 9.0, 1201)
+    pg = make_momentum_grid(-6.0, 6.0, 1201)
+    params = ModelParams(4.0, 1.0)
+    states = solve(assemble(params, grid), 5).states
+    nonreactive_probabilities(states, grid, pg, params)  # builds the cached 5.8 MB kernel
+    tracemalloc.start()
+    try:
+        nonreactive_probabilities(states, grid, pg, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three blocks of 2^15 entries plus O(N) vectors; an (L + 1) x stop array is 4 MB
+    assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
+@pytest.mark.parametrize("n", [149, 600, 1201])
+def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
+    xg = make_grid(-1.0, 9.0, n)
+    pg = MOMENTUM_WINDOWS[window](n)
+    kernel = _build_phase_kernel.__wrapped__(xg, pg, hbar)  # a fresh build, not the cached one
+    half = kernel.half
+    assert half == ((pg.n_points // 2) if window != "asymmetric" else 0)
+    eta = 2.0 * xg.dx * np.arange((n - 1) // 2 + 1)
+    cos_table = np.cos(np.outer(eta, np.abs(pg.points[half:])) / hbar)
+    full = np.concatenate((cos_table[:, ::-1][:, :half], cos_table), axis=1)
+    prefix = np.zeros((eta.size, pg.n_points + 1))
+    prefix[:, 1:] = np.cumsum(full, axis=1)
+    prefix[1:] *= 2.0
+    assert kernel.cos_table.tobytes() == cos_table.tobytes()
+    assert kernel.prefix.tobytes() == prefix.tobytes()
 
 
 def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
