@@ -9,12 +9,12 @@ this process may run on; threads = 1 or a single point runs serially.  The
 eigensolver and most numpy work release the interpreter lock, and the
 probability kernel works in fixed-size blocks, so memory grows with the
 threads in use, not with the number of points.  A point computes
-everything, writes its files (each to a temporary file moved into place)
-and keeps only its records; records.csv is written last.  A failed
-point, a failed write included, leaves none of its files; with fail_fast,
-finished points keep theirs and records.csv is not written.  No file depends
-on the order points finish in, so serial and parallel runs of the same
-config produce byte-identical trees.
+everything, writes its files (each line by line to a temporary file moved
+into place) and keeps only its records; records.csv is written last.  A
+failed point, a failed write included, leaves none of its files; with
+fail_fast, finished points keep theirs and records.csv is not written.  No
+file depends on the order points finish in, so serial and parallel runs of
+the same config produce byte-identical trees.
 
 File formats (all plain text, all embedding the full parameter set as
 leading '# key = value' lines; floats are printed with repr round-trip
@@ -32,9 +32,11 @@ formatting so files reload to bitwise-identical doubles):
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -254,11 +256,15 @@ def _point_fields(spectrum: Spectrum) -> list[tuple[str, object]]:
     ]
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    """Write the lines to a temporary file next to path, then move it into place."""
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to a temporary file next to path, then
+    move it into place; a generator of lines is written as it is produced."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        with tmp.open("w") as f:
+            for line in lines:
+                f.write(line)
+                f.write("\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -337,8 +343,8 @@ def emit_wigner_grid(w: WignerField, path) -> None:
             ("layout", "rows x, columns p"),
         ],
     )
-    lines.extend(" ".join(_fmt(v) for v in row) for row in w.values)
-    _write_lines(path, lines)
+    rows = (" ".join(_fmt(v) for v in row) for row in w.values)
+    _write_lines(path, itertools.chain(lines, rows))
 
 
 def load_wigner_grid(path) -> tuple[WignerField, dict]:

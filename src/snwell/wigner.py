@@ -35,8 +35,8 @@ last such row, stop, K vanishes exactly, and with a, l >= 0 every term
 with a + l >= stop does too; psi(x_a + 2 l dx) vanishes once a + 2l >= N.
 So only the terms with a + l < stop and a + 2l < N are formed: at mu = 4
 on the standard window that is 41 % of the N (L + 1) table at alpha = 1,
-5 % at alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from prefix
-sums of the cached cosine table in blocks of consecutive left points a, a
+5 % at alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from a
+table of prefix sums of the cosines in blocks of consecutive left points a, a
 block's arrays holding about _BLOCK_DOUBLES (2^15) entries so that it
 stays in L2 cache, and every state is contracted against each block in one
 einsum with stride-2 views of the stacked psi: no BLAS call, no correlation
@@ -44,8 +44,16 @@ matrix and no array larger than one block.  Each sum over l runs from
 l = 0 upward whatever the block size, so the blocks do not change a bit.
 Probability-only sweeps never build a field; their values agree with
 nonreactive_probability(wigner_transform(...)) to 1e-14 (the two sums run in
-a different order).  The cosine table and its prefix sums depend only on the
-grids and hbar and are built once per combination (see _phase_kernel).
+a different order).
+
+Each path builds only the phase table it reads, once per (x grid, p grid,
+hbar) and cached: wigner_transform the cosine table (see _build_cos_table),
+(L + 1) x ceil(n_p / 2) doubles on a mirrored momentum grid, 2.9 MB at
+N = n_p = 1201; nonreactive_probabilities the prefix table (see
+_build_prefix_table), (L + 1) x (n_p + 1) doubles, 5.8 MB at N = 1201,
+built in row blocks without the cosine table.  A probability-only sweep
+therefore holds one table and a Wigner sweep, which takes its probabilities
+from the fields, the other.
 """
 
 from __future__ import annotations
@@ -111,59 +119,82 @@ class WignerField:
     momentum_grid: MomentumGrid
 
 
-@dataclass(frozen=True)
-class _PhaseKernel:
-    """Cosine tables shared by every state on one (x grid, p grid, hbar).
-
-    cos_table holds cos(eta_l |p_k| / hbar), rows l = 0..L, for the columns
-    k >= half; on a mirrored momentum grid the columns k < half repeat
-    column n_p - 1 - k, on any other grid half = 0 and the table is
-    complete.  prefix[l, k] = c_l times the sum over k' < k of the full
-    table's entries (l, k'), shape (L + 1) x (n_p + 1), with the correlation
-    weights c_0 = 1, c_l = 2 folded in (exact).  The arrays are read-only so
-    concurrent sweep points can share them.
-    """
-
-    half: int
-    cos_table: np.ndarray = field(repr=False)
-    prefix: np.ndarray = field(repr=False)
-
-
 _kernel_lock = threading.Lock()
 
-# entries in each block of nonreactive_probabilities' work arrays: 256 KB of
-# doubles, so that a block stays in L2 cache
+# entries in each block of the prefix table's build and of
+# nonreactive_probabilities' work arrays: 256 KB of doubles, so that a block
+# stays in L2 cache
 _BLOCK_DOUBLES = 1 << 15
 
 
-def _phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _PhaseKernel:
-    """The cached kernel; sweep points that start together wait for one build."""
+def _mirror_half(pg: MomentumGrid) -> int:
+    """Columns k < half repeat column n_p - 1 - k of the phase tables: half =
+    floor(n_p / 2) on a mirrored momentum grid, else 0.
+
+    Mirrored columns share one evaluation, so the p -> -p symmetry of the
+    cosine kernel holds bitwise (a plain full matrix product would not
+    guarantee that, BLAS may round column blocks differently).
+    """
+    pts = pg.points
+    return pg.n_points - (pg.n_points + 1) // 2 if np.array_equal(pts[::-1], -pts) else 0
+
+
+def _cos_rows(eta: np.ndarray, pg: MomentumGrid, half: int, hbar: float) -> np.ndarray:
+    """cos(eta_l |p_k| / hbar) for the given rows l and the columns k >= half."""
+    table = np.outer(eta, np.abs(pg.points[half:]))
+    table /= hbar
+    return np.cos(table, out=table)
+
+
+def _cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
+    """The cached cosine table; sweep points that start together wait for one build."""
     with _kernel_lock:
-        return _build_phase_kernel(xg, pg, hbar)
+        return _build_cos_table(xg, pg, hbar)
+
+
+def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
+    """The cached prefix table; sweep points that start together wait for one build."""
+    with _kernel_lock:
+        return _build_prefix_table(xg, pg, hbar)
 
 
 @functools.lru_cache(maxsize=4)
-def _build_phase_kernel(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> _PhaseKernel:
+def _build_cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
+    """cos(eta_l |p_k| / hbar), rows l = 0..L, columns k >= _mirror_half(pg),
+    so (L + 1) x ceil(n_p / 2) on a mirrored grid; read-only, so concurrent
+    sweep points can share it."""
+    eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
+    table = _cos_rows(eta, pg, _mirror_half(pg), hbar)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
+    """prefix[l, k] = c_l times the sum over k' < k of cos(eta_l p_k' / hbar),
+    (L + 1) x (n_p + 1), with the correlation weights c_0 = 1, c_l = 2 folded
+    in (exact); read-only, so concurrent sweep points can share it.
+
+    Built in blocks of rows of about _BLOCK_DOUBLES entries: each block's
+    cosines go into a scratch array, which is written with its mirror
+    straight into the prefix buffer and summed there.  The entries are those
+    of the cosine table and each row's sum runs the same way, so the table
+    does not depend on the block size.
+    """
     lmax = (xg.n_points - 1) // 2
     eta = 2.0 * xg.dx * np.arange(lmax + 1)
-    pts = pg.points
-    # mirrored momentum columns share one evaluation: the p -> -p symmetry of
-    # the cosine kernel then holds bitwise (a plain full matrix product would
-    # not guarantee that, BLAS may round column blocks differently)
-    half = pg.n_points - (pg.n_points + 1) // 2 if np.array_equal(pts[::-1], -pts) else 0
-    cos_table = np.outer(eta, np.abs(pts[half:]))
-    cos_table /= hbar
-    np.cos(cos_table, out=cos_table)
-    # the full table is written straight into the prefix buffer and summed there
+    half = _mirror_half(pg)
     prefix = np.zeros((lmax + 1, pg.n_points + 1))
-    full = prefix[:, 1:]
-    full[:, half:] = cos_table
-    full[:, :half] = cos_table[:, ::-1][:, :half]
-    np.cumsum(full, axis=1, out=full)
-    prefix[1:] *= 2.0
-    for table in (cos_table, prefix):
-        table.flags.writeable = False
-    return _PhaseKernel(half=half, cos_table=cos_table, prefix=prefix)
+    rows = max(1, _BLOCK_DOUBLES // (pg.n_points - half))
+    for l0 in range(0, lmax + 1, rows):
+        cos_rows = _cos_rows(eta[l0 : l0 + rows], pg, half, hbar)
+        full = prefix[l0 : l0 + rows, 1:]
+        full[:, half:] = cos_rows
+        full[:, :half] = cos_rows[:, ::-1][:, :half]
+        np.cumsum(full, axis=1, out=full)
+        prefix[max(l0, 1) : l0 + rows] *= 2.0
+    prefix.flags.writeable = False
+    return prefix
 
 
 def _correlation_matrix(psi: np.ndarray) -> np.ndarray:
@@ -207,13 +238,14 @@ def wigner_transform(
     of BLAS threading.
     """
     _check_state(state, xg)
-    kernel = _phase_kernel(xg, pg, params.hbar)
+    cos_table = _cos_table(xg, pg, params.hbar)
     prefactor = xg.dx / (math.pi * params.hbar)
-    right = prefactor * (_correlation_matrix(state.values) @ kernel.cos_table)
-    if kernel.half:
+    right = prefactor * (_correlation_matrix(state.values) @ cos_table)
+    half = pg.n_points - cos_table.shape[1]
+    if half:
         values = np.empty((xg.n_points, pg.n_points))
-        values[:, kernel.half :] = right
-        values[:, : kernel.half] = right[:, ::-1][:, : kernel.half]
+        values[:, half:] = right
+        values[:, :half] = right[:, ::-1][:, :half]
     else:
         values = right
     return WignerField(
@@ -293,7 +325,7 @@ def nonreactive_probabilities(
     stop = int(allowed[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
-    prefix = _phase_kernel(xg, pg, params.hbar).prefix
+    prefix = _prefix_table(xg, pg, params.hbar)
     # the prefix columns that bound row j's region; the rows from stop on get
     # low == high, so their region sums are exact zeros
     low = np.zeros(stop + lmax, dtype=np.intp)

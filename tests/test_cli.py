@@ -113,7 +113,8 @@ def test_config_file_alpha_range(tmp_path):
         "out =\n",
     ],
 )
-def test_bad_config_files_exit_2(tmp_path, capsys, content):
+def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
+    monkeypatch.chdir(tmp_path)  # a run that went ahead would write here
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main(["--config", str(cfg_file)]) == 2

@@ -343,17 +343,46 @@ def test_each_point_writes_its_files_before_the_next_point_starts(tmp_path, monk
     assert {p.name for p in tmp_path.iterdir()} == set().union(*point_files, {"records.csv"})
 
 
-def _disk_full_halfway(monkeypatch, name_part):
-    """Make Path.write_text write half its data, then fail, for names holding name_part."""
-    real_write_text = Path.write_text
+def test_write_lines_streams_the_bytes_of_the_joined_lines(tmp_path):
+    lines = ["# header", "", "1.0 -0.0 nan", "  spaced  ", "last"]
+    path = tmp_path / "f.txt"
+    snwell.sweep._write_lines(path, (line for line in lines))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
-    def write_text(self, data, *args, **kwargs):
-        if name_part in self.name:
-            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+
+class _FillingFile:
+    """A text file that takes `room` characters, writes them out, then fails."""
+
+    def __init__(self, f, room):
+        self._f, self._room = f, room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._f.write(data[: self._room])
+            self._f.flush()
             raise OSError(28, "No space left on device")
-        return real_write_text(self, data, *args, **kwargs)
+        self._room -= len(data)
+        return self._f.write(data)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _disk_full_halfway(monkeypatch, name_part):
+    """Make files that Path.open opens for writing under names holding
+    name_part take 1000 characters, part of a Wigner file's first data row,
+    then fail."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        f = real_open(self, mode, *args, **kwargs)
+        return _FillingFile(f, 1000) if "w" in mode and name_part in self.name else f
+
+    monkeypatch.setattr(Path, "open", open_)
 
 
 def test_failed_rewrite_keeps_the_old_file(tmp_path, monkeypatch, deep_spectrum, saddle_grid,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from snwell import (
     ConfigurationError,
     ModelParams,
+    SweepConfig,
     WignerField,
     assemble,
     make_grid,
@@ -18,13 +19,21 @@ from snwell import (
     marginal_x,
     nonreactive_probabilities,
     nonreactive_probability,
+    run_sweep,
     solve,
     wigner_transform,
 )
 
 import snwell.wigner
 from snwell.classical import hamiltonian
-from snwell.wigner import _build_phase_kernel, _correlation_matrix, _phase_kernel, _region_bounds
+from snwell.wigner import (
+    _build_cos_table,
+    _build_prefix_table,
+    _correlation_matrix,
+    _cos_table,
+    _prefix_table,
+    _region_bounds,
+)
 
 from conftest import fd_hamiltonian
 
@@ -360,7 +369,7 @@ def unblocked_probabilities(states, xg, pg, params):
     stop = int(np.flatnonzero(count)[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
-    prefix = _phase_kernel(xg, pg, params.hbar).prefix
+    prefix = _prefix_table(xg, pg, params.hbar)
     region = np.zeros((lmax + 1, stop + lmax))  # region[l, j] = G[l, j - l]
     for l in range(lmax + 1):
         region[l, :stop] = prefix[l, first[:stop] + count[:stop]] - prefix[l, first[:stop]]
@@ -419,31 +428,58 @@ def test_probability_kernel_memory_stays_within_its_blocks():
     assert peak <= 1.5e6
 
 
+def reference_tables(xg, pg, hbar):
+    """The cosine and prefix tables built whole, the full table as one array."""
+    half = pg.n_points // 2 if np.array_equal(pg.points[::-1], -pg.points) else 0
+    eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
+    cos_table = np.cos(np.outer(eta, np.abs(pg.points[half:])) / hbar)
+    full = np.concatenate((cos_table[:, ::-1][:, :half], cos_table), axis=1)
+    prefix = np.zeros((eta.size, pg.n_points + 1))
+    prefix[:, 1:] = np.cumsum(full, axis=1)
+    prefix[1:] *= 2.0
+    return cos_table, prefix
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
 @pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
 @pytest.mark.parametrize("n", [149, 600, 1201])
 def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     xg = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
-    kernel = _build_phase_kernel.__wrapped__(xg, pg, hbar)  # a fresh build, not the cached one
-    half = kernel.half
-    assert half == ((pg.n_points // 2) if window != "asymmetric" else 0)
-    eta = 2.0 * xg.dx * np.arange((n - 1) // 2 + 1)
-    cos_table = np.cos(np.outer(eta, np.abs(pg.points[half:])) / hbar)
-    full = np.concatenate((cos_table[:, ::-1][:, :half], cos_table), axis=1)
-    prefix = np.zeros((eta.size, pg.n_points + 1))
-    prefix[:, 1:] = np.cumsum(full, axis=1)
-    prefix[1:] *= 2.0
-    assert kernel.cos_table.tobytes() == cos_table.tobytes()
-    assert kernel.prefix.tobytes() == prefix.tobytes()
+    cos_table, prefix = reference_tables(xg, pg, hbar)
+    assert cos_table.shape[1] == pg.n_points - ((pg.n_points // 2) if window != "asymmetric" else 0)
+    # fresh builds, not the cached ones
+    assert _build_cos_table.__wrapped__(xg, pg, hbar).tobytes() == cos_table.tobytes()
+    assert _build_prefix_table.__wrapped__(xg, pg, hbar).tobytes() == prefix.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 75])
+def test_prefix_table_does_not_depend_on_the_row_blocks(monkeypatch, rows):
+    # L + 1 = 75 rows of 75 columns: one row per block, a ragged last block, one block
+    xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
+    monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", rows * 75)
+    prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
+    assert prefix.tobytes() == reference_tables(xg, pg, 0.7)[1].tobytes()
+
+
+def test_prefix_table_builds_without_the_cosine_table():
+    xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
+    tracemalloc.start()
+    try:
+        prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 256 KB block of cosines and O(N) vectors; a whole half table is 2.9 MB
+    assert peak <= prefix.nbytes + 1e6
 
 
 def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
-    kernel = _phase_kernel(saddle_grid, momentum_grid, 1.0)
     same_grids = (make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599))
-    assert _phase_kernel(*same_grids, 1.0) is kernel
-    assert _phase_kernel(saddle_grid, momentum_grid, 2.0) is not kernel
-    for table in (kernel.cos_table, kernel.prefix):
+    for fetch in (_cos_table, _prefix_table):
+        table = fetch(saddle_grid, momentum_grid, 1.0)
+        assert fetch(*same_grids, 1.0) is table
+        assert fetch(saddle_grid, momentum_grid, 2.0) is not table
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
 
@@ -451,13 +487,14 @@ def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
 def test_phase_kernel_built_once_by_concurrent_callers():
     grid = make_grid(-1.0, 9.0, 301)
     pg = make_momentum_grid(-6.0, 6.0, 301)
-    _build_phase_kernel.cache_clear()
+    _build_cos_table.cache_clear()
+    _build_prefix_table.cache_clear()
     start = threading.Barrier(6)
-    kernels = []
+    tables = []
 
     def fetch():
         start.wait(timeout=10)
-        kernels.append(_phase_kernel(grid, pg, 1.0))
+        tables.append((_cos_table(grid, pg, 1.0), _prefix_table(grid, pg, 1.0)))
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -470,5 +507,24 @@ def test_phase_kernel_built_once_by_concurrent_callers():
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(kernels) == 6 and all(k is kernels[0] for k in kernels)
-    assert _build_phase_kernel.cache_info().misses == 1
+    assert len(tables) == 6
+    assert all(c is tables[0][0] and p is tables[0][1] for c, p in tables)
+    assert _build_cos_table.cache_info().misses == 1
+    assert _build_prefix_table.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    ("outputs", "built", "not_built"),
+    [
+        ("probability", _build_prefix_table, _build_cos_table),
+        ("wigner,probability", _build_cos_table, _build_prefix_table),
+    ],
+    ids=["probability", "wigner_probability"],
+)
+def test_sweep_builds_only_the_table_it_reads(tmp_path, outputs, built, not_built):
+    _build_cos_table.cache_clear()
+    _build_prefix_table.cache_clear()
+    run_sweep(SweepConfig(alpha_values=(1.0, 2.0), outputs=frozenset(outputs.split(",")),
+                          output_dir=tmp_path, n_points=149, n_states=2))
+    assert built.cache_info().misses == 1
+    assert not_built.cache_info().misses == 0
