@@ -36,7 +36,7 @@ import itertools
 import logging
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -343,8 +343,26 @@ def emit_wigner_grid(w: WignerField, path) -> None:
             ("layout", "rows x, columns p"),
         ],
     )
-    rows = (" ".join(_fmt(v) for v in row) for row in w.values)
-    _write_lines(path, itertools.chain(lines, rows))
+    _write_lines(path, itertools.chain(lines, _grid_rows(w.values)))
+
+
+def _grid_rows(values: np.ndarray) -> Iterator[str]:
+    """Each row of values as space-separated _fmt floats.
+
+    When every row is bitwise its own mirror, as on a mirrored momentum grid,
+    only the right half of each row is formatted.  The test is on the bits,
+    not ==: -0.0 == 0.0, but the two print differently.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    half = values.shape[1] // 2
+    bits = values.view(np.uint64)
+    if np.array_equal(bits[:, :half], bits[:, ::-1][:, :half]):
+        for row in values[:, half:]:
+            right = list(map(repr, row.tolist()))
+            yield " ".join(right[::-1][:half] + right)
+    else:
+        for row in values:
+            yield " ".join(map(repr, row.tolist()))
 
 
 def load_wigner_grid(path) -> tuple[WignerField, dict]:

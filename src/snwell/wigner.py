@@ -25,32 +25,36 @@ Written over the left offset point a = j - l instead of the row j,
     G[l, a] = c_l K[a + l, l],
     K[j, l] = sum over the region cells k of row j of cos(eta_l p_k / hbar),
 
-so nonreactive_probabilities takes it without building the field.  Each
-row's region is one contiguous run of momentum cells found by bisection:
-H <= 0 holds exactly when p_k^2 / 2m <= -V(x_j) (a rounded sum keeps the
-sign of the exact one), and p^2 / 2m falls and then rises along the
-ascending momentum grid.  Since p^2 / 2m >= 0, a row can hold a region
-cell only where V(x_j) <= 0, i.e. up to x = 3 sqrt(mu) / alpha; past the
-last such row, stop, K vanishes exactly, and with a, l >= 0 every term
-with a + l >= stop does too; psi(x_a + 2 l dx) vanishes once a + 2l >= N.
-So only the terms with a + l < stop and a + 2l < N are formed: at mu = 4
-on the standard window that is 41 % of the N (L + 1) table at alpha = 1,
-5 % at alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from a
-table of prefix sums of the cosines in blocks of consecutive left points a, a
-block's arrays holding about _BLOCK_DOUBLES (2^15) entries so that it
-stays in L2 cache, and every state is contracted against each block in one
-einsum with stride-2 views of the stacked psi: no BLAS call, no correlation
-matrix and no array larger than one block.  Each sum over l runs from
-l = 0 upward whatever the block size, so the blocks do not change a bit.
-Probability-only sweeps never build a field; their values agree with
-nonreactive_probability(wigner_transform(...)) to 1e-14 (the two sums run in
-a different order).
+so nonreactive_probabilities takes it without building the field.  The
+cosine depends on p_k only through |p_k|, so K is a sum over the distinct
+momentum levels q_i = |p_k| (ascending), each weighted by its number of
+cells m_i (2 where p_k and -p_k are both on the grid, else 1).  Each row's
+region is the first r_j levels, r_j found by one bisection: H <= 0 holds
+exactly when p_k^2 / 2m <= -V(x_j) (a rounded sum keeps the sign of the
+exact one), |p|^2 is p^2 bitwise, and q^2 / 2m does not fall along the
+levels.  So G[l, a] = T[l, r_(a+l)], one entry of a table T of prefix sums
+over the levels.  Since p^2 / 2m >= 0, a row can hold a region cell only
+where V(x_j) <= 0, i.e. up to x = 3 sqrt(mu) / alpha; past the last such
+row, stop, K vanishes exactly, and with a, l >= 0 every term with
+a + l >= stop does too; psi(x_a + 2 l dx) vanishes once a + 2l >= N.  So
+only the terms with a + l < stop and a + 2l < N are formed: at mu = 4 on the
+standard window that is 41 % of the N (L + 1) table at alpha = 1, 5 % at
+alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from T in blocks of
+consecutive left points a, a block's arrays holding about _BLOCK_DOUBLES
+(2^15) entries so that it stays in L2 cache, and every state is contracted
+against each block in one einsum with stride-2 views of the stacked psi: no
+BLAS call, no correlation matrix and no array larger than one block.  Each
+sum over l runs from l = 0 upward whatever the block size, so the blocks do
+not change a bit.  Probability-only sweeps never build a field; their values
+agree with nonreactive_probability(wigner_transform(...)) to 1e-14 (the two
+sums run in a different order).
 
 Each path builds only the phase table it reads, once per (x grid, p grid,
 hbar) and cached: wigner_transform the cosine table (see _build_cos_table),
 (L + 1) x ceil(n_p / 2) doubles on a mirrored momentum grid, 2.9 MB at
-N = n_p = 1201; nonreactive_probabilities the prefix table (see
-_build_prefix_table), (L + 1) x (n_p + 1) doubles, 5.8 MB at N = 1201,
+N = n_p = 1201; nonreactive_probabilities the level prefix table T (see
+_build_prefix_table), (L + 1) x (number of levels + 1) doubles, so
+(L + 1) x (ceil(n_p / 2) + 1) on a mirrored grid, also 2.9 MB at N = 1201,
 built in row blocks without the cosine table.  A probability-only sweep
 therefore holds one table and a Wigner sweep, which takes its probabilities
 from the fields, the other.
@@ -139,11 +143,17 @@ def _mirror_half(pg: MomentumGrid) -> int:
     return pg.n_points - (pg.n_points + 1) // 2 if np.array_equal(pts[::-1], -pts) else 0
 
 
-def _cos_rows(eta: np.ndarray, pg: MomentumGrid, half: int, hbar: float) -> np.ndarray:
-    """cos(eta_l |p_k| / hbar) for the given rows l and the columns k >= half."""
-    table = np.outer(eta, np.abs(pg.points[half:]))
+def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float) -> np.ndarray:
+    """cos(eta_l q_i / hbar) for the given rows l and momentum levels q_i >= 0."""
+    table = np.outer(eta, levels)
     table /= hbar
     return np.cos(table, out=table)
+
+
+def _levels(pg: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """q, m: the distinct |p_k| in ascending order and the number of cells at
+    each (1, or 2 where p_k and -p_k are both on the grid)."""
+    return np.unique(np.abs(pg.points), return_counts=True)
 
 
 def _cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
@@ -164,34 +174,33 @@ def _build_cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarr
     so (L + 1) x ceil(n_p / 2) on a mirrored grid; read-only, so concurrent
     sweep points can share it."""
     eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
-    table = _cos_rows(eta, pg, _mirror_half(pg), hbar)
+    table = _cos_rows(eta, np.abs(pg.points[_mirror_half(pg):]), hbar)
     table.flags.writeable = False
     return table
 
 
 @functools.lru_cache(maxsize=4)
 def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """prefix[l, k] = c_l times the sum over k' < k of cos(eta_l p_k' / hbar),
-    (L + 1) x (n_p + 1), with the correlation weights c_0 = 1, c_l = 2 folded
-    in (exact); read-only, so concurrent sweep points can share it.
+    """prefix[l, r] = c_l times the sum over the levels i < r of
+    m_i cos(eta_l q_i / hbar) (see _levels), (L + 1) x (len(q) + 1), with the
+    correlation weights c_0 = 1, c_l = 2 folded in (exact, as is m_i);
+    read-only, so concurrent sweep points can share it.
 
     Built in blocks of rows of about _BLOCK_DOUBLES entries: each block's
-    cosines go into a scratch array, which is written with its mirror
-    straight into the prefix buffer and summed there.  The entries are those
-    of the cosine table and each row's sum runs the same way, so the table
-    does not depend on the block size.
+    cosines go into a scratch array, which is weighted straight into the
+    prefix buffer and summed there.  Each entry and each row's sum is
+    computed the same way whatever the block size, so the table does not
+    depend on it.
     """
     lmax = (xg.n_points - 1) // 2
     eta = 2.0 * xg.dx * np.arange(lmax + 1)
-    half = _mirror_half(pg)
-    prefix = np.zeros((lmax + 1, pg.n_points + 1))
-    rows = max(1, _BLOCK_DOUBLES // (pg.n_points - half))
+    levels, counts = _levels(pg)
+    prefix = np.zeros((lmax + 1, levels.size + 1))
+    rows = max(1, _BLOCK_DOUBLES // levels.size)
     for l0 in range(0, lmax + 1, rows):
-        cos_rows = _cos_rows(eta[l0 : l0 + rows], pg, half, hbar)
-        full = prefix[l0 : l0 + rows, 1:]
-        full[:, half:] = cos_rows
-        full[:, :half] = cos_rows[:, ::-1][:, :half]
-        np.cumsum(full, axis=1, out=full)
+        block = prefix[l0 : l0 + rows, 1:]
+        np.multiply(_cos_rows(eta[l0 : l0 + rows], levels, hbar), counts, out=block)
+        np.cumsum(block, axis=1, out=block)
         prefix[max(l0, 1) : l0 + rows] *= 2.0
     prefix.flags.writeable = False
     return prefix
@@ -276,24 +285,19 @@ def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
 
-def _region_bounds(
-    xg: SpatialGrid, pg: MomentumGrid, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """first[j], count[j]: row j's run of momentum cells with H(x_j, p_k) <= 0.
+def _level_reach(xg: SpatialGrid, pg: MomentumGrid, params: ModelParams) -> np.ndarray:
+    """reach[j]: the number of momentum levels (see _levels) in row j's region
+    H(x_j, p_k) <= 0: the region is exactly the cells whose |p_k| is one of
+    the first reach[j] levels.
 
     hamiltonian(x_j, p_k) is the rounded sum f_k + V_j, f_k = p_k**2 / 2m; a
     rounded sum is <= 0 exactly when the exact one is, so the cell test is
-    f_k <= -V_j with no rounding of its own.  On the ascending momentum grid
-    f does not rise over p < 0 and does not fall over p >= 0, so the run is
-    a suffix of the first branch joined to a prefix of the second, each
-    found by bisection.  An empty row has count 0 (and first at p = 0).
+    f_k <= -V_j with no rounding of its own.  |p|**2 is p**2 bitwise and
+    q**2 / 2m does not fall along the ascending levels, so one bisection
+    finds the row's levels.  An empty row has reach 0.
     """
-    kinetic = pg.points**2 / (2.0 * params.mass)
-    limit = -potential(params, xg.points)
-    zero = int(np.searchsorted(pg.points, 0.0))
-    left = np.searchsorted(kinetic[:zero][::-1], limit, side="right")
-    right = np.searchsorted(kinetic[zero:], limit, side="right")
-    return zero - left, left + right
+    kinetic = _levels(pg)[0] ** 2 / (2.0 * params.mass)
+    return np.searchsorted(kinetic, -potential(params, xg.points), side="right")
 
 
 def nonreactive_probabilities(
@@ -301,37 +305,34 @@ def nonreactive_probabilities(
 ) -> list[float]:
     """nonreactive_probability of each state's field, without building the fields.
 
-    The same H(x_j, p_k) <= 0 cells, their row bounds taken exactly in
-    O(N log N) (see _region_bounds).  Rows from stop (one past the last row
+    The same H(x_j, p_k) <= 0 cells, each row's momentum levels taken exactly
+    in O(N log N) (see _level_reach).  Rows from stop (one past the last row
     with a region cell) on contribute exact zeros, so the sheared region sums
     G of the module docstring are formed only for left points a < stop, in
     blocks of consecutive a of about _BLOCK_DOUBLES entries, each block with
     only the offsets l whose terms can be nonzero (a + l < stop and
-    a + 2l < N).  Every state is contracted against a block in one einsum
-    over the stacked, zero-padded psi, then takes one length-stop dot: no
-    BLAS call and no correlation matrix.  Each sum over l runs in ascending
-    order from l = 0 and the terms left out are exact zeros, so the result
-    does not depend on the block size.  With no region cell at all every
-    probability is 0.0.  Agrees with
-    nonreactive_probability(wigner_transform(...)) to 1e-14 absolute, not
-    bitwise (the sums run in a different order).
+    a + 2l < N).  A block's G is one gather from the prefix table, and every
+    state is contracted against it in one einsum over the stacked,
+    zero-padded psi, then takes one length-stop dot: no BLAS call and no
+    correlation matrix.  Each sum over l runs in ascending order from l = 0
+    and the terms left out are exact zeros, so the result does not depend on
+    the block size.  With no region cell at all every probability is 0.0.
+    Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
+    absolute, not bitwise (the sums run in a different order).
     """
     for state in states:
         _check_state(state, xg)
-    first, count = _region_bounds(xg, pg, params)
-    allowed = np.flatnonzero(count)
+    reach = _level_reach(xg, pg, params)
+    allowed = np.flatnonzero(reach)
     if allowed.size == 0:
         return [0.0] * len(states)
     stop = int(allowed[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
     prefix = _prefix_table(xg, pg, params.hbar)
-    # the prefix columns that bound row j's region; the rows from stop on get
-    # low == high, so their region sums are exact zeros
-    low = np.zeros(stop + lmax, dtype=np.intp)
-    high = np.zeros(stop + lmax, dtype=np.intp)
-    low[:stop] = first[:stop]
-    high[:stop] = first[:stop] + count[:stop]
+    # the prefix column of row j's region sums; the rows from stop on read
+    # column 0, so their region sums are exact zeros
+    column = np.pad(reach[:stop], (0, lmax))
     row_starts = (np.arange(lmax + 1) * prefix.shape[1])[:, None]
     # padded[s, m] = psi_s(x_m), zero beyond the window
     padded = np.zeros((len(states), n + 2 * lmax))
@@ -339,22 +340,20 @@ def nonreactive_probabilities(
         padded[s, :n] = state.values
     inner = np.empty((len(states), stop))
     size = max(_BLOCK_DOUBLES, lmax + 1)
-    index, g_buffer, low_buffer = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+    index, g_buffer = np.empty(size, dtype=np.intp), np.empty(size)
     step, istep = padded.itemsize, index.itemsize
     a0 = 0
     while a0 < stop:
         rows = min(stop - a0, (n - 1 - a0) // 2 + 1)
         width = min(max(1, _BLOCK_DOUBLES // rows), stop - a0)
         shape = (rows, width)
-        # g[l, a] = G[l, a0 + a] = prefix[l, high[j]] - prefix[l, low[j]], j = a0 + a + l
-        # < stop + lmax; the indices are in range by construction, and
-        # mode="clip" lets take write straight into its output buffer
+        # g[l, a] = G[l, a0 + a] = prefix[l, column[j]], j = a0 + a + l < stop + lmax;
+        # the indices are in range by construction, and mode="clip" lets
+        # take write straight into its output buffer
         i, g = index[: rows * width].reshape(shape), g_buffer[: rows * width].reshape(shape)
         hankel = (istep, istep)  # [l, a] -> entry a0 + a + l
-        np.add(row_starts[:rows], as_strided(high[a0:], shape, hankel, writeable=False), out=i)
+        np.add(row_starts[:rows], as_strided(column[a0:], shape, hankel, writeable=False), out=i)
         np.take(prefix, i, out=g, mode="clip")
-        np.add(row_starts[:rows], as_strided(low[a0:], shape, hankel, writeable=False), out=i)
-        g -= np.take(prefix, i, out=low_buffer[: rows * width].reshape(shape), mode="clip")
         # far[s, l, a] = psi_s(x_(a0 + a) + 2 l dx)
         far = as_strided(padded[:, a0:], (len(states), rows, width),
                          (padded.strides[0], 2 * step, step), writeable=False)

@@ -501,3 +501,24 @@ def test_float_formatting_round_trips():
     for value in (1.0, 10.0 / 3.0, 1e-300, -0.1, 5.551115123125783e-17):
         assert float(snwell.sweep._fmt(value)) == value
     assert math.isnan(float(snwell.sweep._fmt(float("nan"))))
+
+
+def _mirrored(values):
+    return np.concatenate((values[:, ::-1][:, : values.shape[1] - 1], values), axis=1)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _mirrored(np.array([[0.0, 1.5, -2.0e-300], [np.nan, 0.1, -0.0]])),  # odd width
+        np.array([[0.25, -1.0, -1.0, 0.25], [3.0, 0.0, 0.0, 3.0]]),  # even width
+        np.array([[1.0, 0.0, -0.0, 1.0]]),  # a mirror that == sees but the bits do not
+        np.array([[0.1, 2.0, np.nextafter(0.1, 1.0)]]),  # one bit off the mirror
+        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        np.array([[1, 2, 1]]),  # integers print as floats
+        np.array([[7.5]]),
+    ],
+)
+def test_grid_rows_print_every_value_as_fmt(values):
+    expected = [" ".join(snwell.sweep._fmt(v) for v in row) for row in values]
+    assert list(snwell.sweep._grid_rows(values)) == expected

@@ -1,7 +1,10 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +34,9 @@ from snwell.wigner import (
     _build_prefix_table,
     _correlation_matrix,
     _cos_table,
+    _level_reach,
+    _levels,
     _prefix_table,
-    _region_bounds,
 )
 
 from conftest import fd_hamiltonian
@@ -244,7 +248,7 @@ def test_fused_probabilities_match_field_path(n, window):
     pg = MOMENTUM_WINDOWS[window](n)
     for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
         params = ModelParams(4.0, alpha)
-        stop = np.flatnonzero(_region_bounds(grid, pg, params)[1])[-1] + 1
+        stop = np.flatnonzero(_level_reach(grid, pg, params))[-1] + 1
         if alpha == 0.5:  # V < 0 on the whole window: every row and offset is kept
             assert stop == n
         if alpha == 5.0:  # V <= 0 only up to x = 1.2: the offsets are trimmed too
@@ -262,7 +266,7 @@ def test_fused_probabilities_without_allowed_rows_are_zero(alpha):
     grid = make_grid(-1.0, 9.0, 149)
     pg = make_momentum_grid(5.0, 6.0, 149)
     params = ModelParams(4.0, alpha)
-    assert not _region_bounds(grid, pg, params)[1].any()
+    assert not _level_reach(grid, pg, params).any()
     states = solve(assemble(params, grid), 3).states
     fused = nonreactive_probabilities(states, grid, pg, params)
     field = [
@@ -306,18 +310,18 @@ def momentum_windows(draw):
          pg=make_momentum_grid(-6.0, 6.0, 150))
 @example(mu=4.0, alpha=1.0, mass=3.0, a=-1.0, width=10.0, n=149,
          pg=make_momentum_grid(0.5, 7.0, 149))
-def test_region_bounds_equal_the_hamiltonian_mask(mu, alpha, mass, a, width, n, pg):
+def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, pg):
     params = ModelParams(mu, alpha, mass=mass)
     xg = make_grid(a, a + width, n)
     inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
-    first, count = _region_bounds(xg, pg, params)
-    np.testing.assert_array_equal(count, np.count_nonzero(inside, axis=1))
-    rows = count > 0
-    np.testing.assert_array_equal(first[rows], np.argmax(inside, axis=1)[rows])
-    # the region of each row is exactly the run [first, first + count)
-    k = np.arange(pg.n_points)
-    run = (k >= first[:, None]) & (k < (first + count)[:, None])
-    np.testing.assert_array_equal(run, inside)
+    levels, counts = _levels(pg)
+    assert np.all(np.diff(levels) > 0) and set(counts.tolist()) <= {1, 2}
+    reach = _level_reach(xg, pg, params)
+    cells = np.concatenate(([0], np.cumsum(counts)))  # cells[r] = sum(counts[:r])
+    np.testing.assert_array_equal(cells[reach], np.count_nonzero(inside, axis=1))
+    # the region of each row is exactly the cells with |p_k| <= levels[reach - 1]
+    top = np.concatenate(([-np.inf], levels))[reach]  # -inf for an empty row
+    np.testing.assert_array_equal(np.abs(pg.points) <= top[:, None], inside)
 
 
 @given(
@@ -365,14 +369,14 @@ def test_fused_probabilities_grid_mismatch_rejected(deep_spectrum, momentum_grid
 def unblocked_probabilities(states, xg, pg, params):
     """The sheared sum of the module docstring over every a, l < stop in one
     piece, each sum over l taken term by term from l = 0 upward."""
-    first, count = _region_bounds(xg, pg, params)
-    stop = int(np.flatnonzero(count)[-1]) + 1
+    reach = _level_reach(xg, pg, params)
+    stop = int(np.flatnonzero(reach)[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
     prefix = _prefix_table(xg, pg, params.hbar)
     region = np.zeros((lmax + 1, stop + lmax))  # region[l, j] = G[l, j - l]
     for l in range(lmax + 1):
-        region[l, :stop] = prefix[l, first[:stop] + count[:stop]] - prefix[l, first[:stop]]
+        region[l, :stop] = prefix[l, reach[:stop]]
     scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
     probs = []
     for state in states:
@@ -404,7 +408,7 @@ def test_blocked_probabilities_equal_the_unblocked_sum_bitwise(monkeypatch, alph
     pg = make_momentum_grid(-6.0, 6.0, 149)
     params = ModelParams(4.0, alpha)
     states = solve(assemble(params, grid), 5).states
-    stop = np.flatnonzero(_region_bounds(grid, pg, params)[1])[-1] + 1
+    stop = np.flatnonzero(_level_reach(grid, pg, params))[-1] + 1
     first_rows = min(stop, (grid.n_points - 1) // 2 + 1)  # the offsets of the first block
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", first_rows * BLOCK_WIDTHS[blocks](stop))
     assert nonreactive_probabilities(states, grid, pg, params) == unblocked_probabilities(
@@ -424,18 +428,22 @@ def test_probability_kernel_memory_stays_within_its_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # three blocks of 2^15 entries plus O(N) vectors; an (L + 1) x stop array is 4 MB
-    assert peak <= 1.5e6
+    # two blocks of 2^15 entries plus O(N) vectors, 0.82 MB measured; an
+    # (L + 1) x stop array is 4 MB, and a third block buffer 0.26 MB more
+    assert peak <= 0.9e6
 
 
 def reference_tables(xg, pg, hbar):
-    """The cosine and prefix tables built whole, the full table as one array."""
+    """The cosine and prefix tables built whole: the prefix table's columns
+    are the distinct |p_k|, ascending, each weighted by its number of cells."""
     half = pg.n_points // 2 if np.array_equal(pg.points[::-1], -pg.points) else 0
     eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
     cos_table = np.cos(np.outer(eta, np.abs(pg.points[half:])) / hbar)
-    full = np.concatenate((cos_table[:, ::-1][:, :half], cos_table), axis=1)
-    prefix = np.zeros((eta.size, pg.n_points + 1))
-    prefix[:, 1:] = np.cumsum(full, axis=1)
+    cells = Counter(np.abs(pg.points).tolist())
+    levels = np.array(sorted(cells))
+    counts = np.array([cells[q] for q in levels])
+    prefix = np.zeros((eta.size, levels.size + 1))
+    prefix[:, 1:] = np.cumsum(counts * np.cos(np.outer(eta, levels) / hbar), axis=1)
     prefix[1:] *= 2.0
     return cos_table, prefix
 
@@ -453,9 +461,23 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     assert _build_prefix_table.__wrapped__(xg, pg, hbar).tobytes() == prefix.tobytes()
 
 
+@pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
+@pytest.mark.parametrize("n", [149, 600])
+def test_prefix_table_has_a_column_per_level_plus_one(n, window):
+    xg = make_grid(-1.0, 9.0, n)
+    pg = MOMENTUM_WINDOWS[window](n)
+    prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+    if window == "asymmetric":
+        columns = len(set(np.abs(pg.points).tolist())) + 1
+        assert pg.n_points // 2 + 1 < columns <= pg.n_points + 1
+    else:
+        columns = (pg.n_points + 1) // 2 + 1
+    assert prefix.shape == ((n - 1) // 2 + 1, columns)
+
+
 @pytest.mark.parametrize("rows", [1, 7, 75])
 def test_prefix_table_does_not_depend_on_the_row_blocks(monkeypatch, rows):
-    # L + 1 = 75 rows of 75 columns: one row per block, a ragged last block, one block
+    # L + 1 = 75 rows of 75 levels: one row per block, a ragged last block, one block
     xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", rows * 75)
     prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
@@ -528,3 +550,12 @@ def test_sweep_builds_only_the_table_it_reads(tmp_path, outputs, built, not_buil
                           output_dir=tmp_path, n_points=149, n_states=2))
     assert built.cache_info().misses == 1
     assert not_built.cache_info().misses == 0
+
+
+def test_readme_prefix_table_size_matches_the_build():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"table of\s+cosine prefix sums.*?([\d.]+) MB at N = N_p = 1201", readme,
+                       re.DOTALL)
+    xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
+    built = _build_prefix_table.__wrapped__(xg, pg, 1.0).nbytes / 1e6
+    assert abs(float(stated.group(1)) - built) <= 0.1
