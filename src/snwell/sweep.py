@@ -8,11 +8,13 @@ thread pool of min(threads, points) workers, threads defaulting to the CPUs
 this process may run on; threads = 1 or a single point runs serially.  The
 eigensolver and most numpy work release the interpreter lock, and the
 probability kernel works in fixed-size blocks, so memory grows with the
-threads in use, not with the number of points.  A point computes
-everything, writes its files (each line by line to a temporary file moved
-into place) and keeps only its records; records.csv is written last.  A
-failed point, a failed write included, leaves none of its files; with
-fail_fast, finished points keep theirs and records.csv is not written.  No
+threads in use, not with the number of points.  A point writes its files
+in one pass (each line by line to a temporary file moved into place): each
+Wigner file as soon as its field is built, the field then dropped, and the
+spectrum and contour files after the last state; it keeps only its
+records, and records.csv is written last.  A failed point, a failed
+computation or write included, leaves none of its files; with fail_fast,
+finished points keep theirs and records.csv is not written.  No
 file depends on the order points finish in, so serial and parallel runs of
 the same config produce byte-identical trees.
 
@@ -179,49 +181,52 @@ def _fmt(x) -> str:
 
 
 def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> list[SweepRecord]:
-    """Compute one alpha point, then write all of its files or none; return its records."""
+    """Compute one alpha point and write its files in one pass; return its records.
+
+    Each Wigner file is written as soon as its field is built, and the field
+    is dropped before the next one, so a point holds one field at a time.
+    The spectrum and contour files follow.  All of the point's files or
+    none: a failure, in a computation or in a write, removes every file the
+    point has written.
+    """
     params = ModelParams(mu=cfg.mu, alpha=alpha, hbar=cfg.hbar, mass=cfg.mass)
     spectrum = solve(assemble(params, grid), cfg.n_states)
     want_prob = "probability" in cfg.outputs
     want_wigner = "wigner" in cfg.outputs
 
-    records, wigner_fields = [], []
-    # without Wigner files the probabilities come straight from the
-    # correlation matrices; with them, from the fields as emit_wigner_grid does
-    if want_prob and not want_wigner:
-        probs = nonreactive_probabilities(spectrum.states, grid, pgrid, params)
-    else:
-        probs = [math.nan] * len(spectrum.states)
-    for state, prob in zip(spectrum.states, probs):
-        mean_x = sigma_x = math.nan
-        if "observables" in cfg.outputs:
-            rec = position_record(state, grid)
-            mean_x, sigma_x = rec.mean_x, rec.sigma_x
-        if want_wigner:
-            w = wigner_transform(state, grid, pgrid, params)
-            if want_prob:
-                prob = nonreactive_probability(w, params)
-            wigner_fields.append(w)
-        records.append(SweepRecord(
-            alpha=alpha, depth=depth(params), state_index=state.index, energy=state.energy,
-            mean_x=mean_x, sigma_x=sigma_x, nonreactive_prob=prob,
-            boundary_amplitude=state.boundary_amplitude,
-        ))
-    if "contours" in cfg.outputs:
-        contours = [contour_points(params, s.energy, grid) for s in spectrum.states]
-
     tag = _fmt(alpha)
-    written = []
+    records, written = [], []
     try:
+        # without Wigner files the probabilities come straight from the
+        # correlation matrices; with them, from the fields as emit_wigner_grid does
+        if want_prob and not want_wigner:
+            probs = nonreactive_probabilities(spectrum.states, grid, pgrid, params)
+        else:
+            probs = [math.nan] * len(spectrum.states)
+        for state, prob in zip(spectrum.states, probs):
+            mean_x = sigma_x = math.nan
+            if "observables" in cfg.outputs:
+                rec = position_record(state, grid)
+                mean_x, sigma_x = rec.mean_x, rec.sigma_x
+            if want_wigner:
+                w = wigner_transform(state, grid, pgrid, params)
+                if want_prob:
+                    prob = nonreactive_probability(w, params)
+                written.append(outdir / f"wigner_{tag}_n{state.index}.dat")
+                emit_wigner_grid(w, written[-1])
+                del w
+            records.append(SweepRecord(
+                alpha=alpha, depth=depth(params), state_index=state.index, energy=state.energy,
+                mean_x=mean_x, sigma_x=sigma_x, nonreactive_prob=prob,
+                boundary_amplitude=state.boundary_amplitude,
+            ))
         if "spectrum" in cfg.outputs:
             written.append(outdir / f"spectrum_{tag}.csv")
             _write_spectrum(written[-1], spectrum)
         if "contours" in cfg.outputs:
             written.append(outdir / f"contours_{tag}.csv")
-            _write_contours(written[-1], spectrum, contours)
-        for w in wigner_fields:
-            written.append(outdir / f"wigner_{tag}_n{w.state_index}.dat")
-            emit_wigner_grid(w, written[-1])
+            _write_contours(written[-1], spectrum,
+                            [contour_points(params, s.energy, grid) for s in spectrum.states])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -10,8 +10,11 @@ the offset step being 2 dx so both evaluation points fall exactly on grid
 nodes; l runs over every integer (positive and negative) for which both
 points stay inside [a, b], consistent with psi being identically zero
 outside the Dirichlet window.  Real eigenfunctions kill the sine part
-analytically, so no complex arrays are ever built, and rho(x, p) = rho(x, -p)
-holds exactly.
+analytically, so no complex arrays are ever built, and the cosine depends on
+p_k only through |p_k|.  Both phase tables below are therefore over the
+distinct momentum levels q_i = |p_k| (see _levels), and every column of the
+field is read from its level's column, so rho(x, p) = rho(x, -p) holds
+exactly by construction, on any momentum window.
 
 rho is a quasiprobability: it integrates to 1 (up to momentum-window
 truncation) and obeys |rho| <= 1/(pi hbar), but it may be negative and is
@@ -25,10 +28,9 @@ Written over the left offset point a = j - l instead of the row j,
     G[l, a] = c_l K[a + l, l],
     K[j, l] = sum over the region cells k of row j of cos(eta_l p_k / hbar),
 
-so nonreactive_probabilities takes it without building the field.  The
-cosine depends on p_k only through |p_k|, so K is a sum over the distinct
-momentum levels q_i = |p_k| (ascending), each weighted by its number of
-cells m_i (2 where p_k and -p_k are both on the grid, else 1).  Each row's
+so nonreactive_probabilities takes it without building the field.  K is a
+sum over the levels q_i (ascending), each weighted by its number of cells
+m_i (2 where p_k and -p_k are both on the grid, else 1).  Each row's
 region is the first r_j levels, r_j found by one bisection: H <= 0 holds
 exactly when p_k^2 / 2m <= -V(x_j) (a rounded sum keeps the sign of the
 exact one), |p|^2 is p^2 bitwise, and q^2 / 2m does not fall along the
@@ -51,13 +53,12 @@ sums run in a different order).
 
 Each path builds only the phase table it reads, once per (x grid, p grid,
 hbar) and cached: wigner_transform the cosine table (see _build_cos_table),
-(L + 1) x ceil(n_p / 2) doubles on a mirrored momentum grid, 2.9 MB at
-N = n_p = 1201; nonreactive_probabilities the level prefix table T (see
-_build_prefix_table), (L + 1) x (number of levels + 1) doubles, so
-(L + 1) x (ceil(n_p / 2) + 1) on a mirrored grid, also 2.9 MB at N = 1201,
-built in row blocks without the cosine table.  A probability-only sweep
-therefore holds one table and a Wigner sweep, which takes its probabilities
-from the fields, the other.
+(L + 1) x (number of levels) doubles, so (L + 1) x ceil(n_p / 2) on a
+mirrored momentum grid, 2.9 MB at N = n_p = 1201; nonreactive_probabilities
+the level prefix table T (see _build_prefix_table), (L + 1) x (number of
+levels + 1) doubles, also 2.9 MB at N = 1201, built in row blocks without
+the cosine table.  A probability-only sweep therefore holds one table and a
+Wigner sweep, which takes its probabilities from the fields, the other.
 """
 
 from __future__ import annotations
@@ -131,18 +132,6 @@ _kernel_lock = threading.Lock()
 _BLOCK_DOUBLES = 1 << 15
 
 
-def _mirror_half(pg: MomentumGrid) -> int:
-    """Columns k < half repeat column n_p - 1 - k of the phase tables: half =
-    floor(n_p / 2) on a mirrored momentum grid, else 0.
-
-    Mirrored columns share one evaluation, so the p -> -p symmetry of the
-    cosine kernel holds bitwise (a plain full matrix product would not
-    guarantee that, BLAS may round column blocks differently).
-    """
-    pts = pg.points
-    return pg.n_points - (pg.n_points + 1) // 2 if np.array_equal(pts[::-1], -pts) else 0
-
-
 def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float) -> np.ndarray:
     """cos(eta_l q_i / hbar) for the given rows l and momentum levels q_i >= 0."""
     table = np.outer(eta, levels)
@@ -170,11 +159,11 @@ def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _build_cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """cos(eta_l |p_k| / hbar), rows l = 0..L, columns k >= _mirror_half(pg),
-    so (L + 1) x ceil(n_p / 2) on a mirrored grid; read-only, so concurrent
-    sweep points can share it."""
+    """cos(eta_l q_i / hbar), rows l = 0..L, one column per |p| level q_i
+    (see _levels), so (L + 1) x ceil(n_p / 2) on a mirrored grid; read-only,
+    so concurrent sweep points can share it."""
     eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
-    table = _cos_rows(eta, np.abs(pg.points[_mirror_half(pg):]), hbar)
+    table = _cos_rows(eta, _levels(pg)[0], hbar)
     table.flags.writeable = False
     return table
 
@@ -242,21 +231,18 @@ def wigner_transform(
 ) -> WignerField:
     """Wigner quasiprobability of one eigenstate on the product grid.
 
-    The whole field is one correlation-matrix product with the cached cosine
-    table: O(N^2 L) flops, rows independent, deterministic output regardless
-    of BLAS threading.
+    One correlation-matrix product with the cached cosine table gives a
+    column per |p| level: O(N^2 L) flops, rows independent, deterministic
+    output regardless of BLAS threading.  Each momentum column then reads its
+    level's column.  Every |p_k| is a level, so this is exact, and the
+    columns at p and -p are one evaluation, so rho(x, p) = rho(x, -p) holds
+    bitwise by construction.
     """
     _check_state(state, xg)
     cos_table = _cos_table(xg, pg, params.hbar)
     prefactor = xg.dx / (math.pi * params.hbar)
-    right = prefactor * (_correlation_matrix(state.values) @ cos_table)
-    half = pg.n_points - cos_table.shape[1]
-    if half:
-        values = np.empty((xg.n_points, pg.n_points))
-        values[:, half:] = right
-        values[:, :half] = right[:, ::-1][:, :half]
-    else:
-        values = right
+    by_level = prefactor * (_correlation_matrix(state.values) @ cos_table)
+    values = by_level[:, np.searchsorted(_levels(pg)[0], np.abs(pg.points))]
     return WignerField(
         values=values,
         state_index=state.index,

@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,18 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]))
     code = "import snwell.cli, sys; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_figure_script_runs_are_valid_configs(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "figure_data.sh"
+    lines = script.read_text(encoding="utf-8").replace("\\\n", " ").splitlines()
+    calls = [shlex.split(line.replace("$root", str(tmp_path)))
+             for line in lines if line.lstrip().startswith("snwell-sweep")]
+    assert len(calls) == 2  # three_depths and depth_curves
+    for argv in calls:
+        cfg = parse(argv[1:])
+        assert isinstance(cfg, snwell.sweep.SweepConfig)
+        assert cfg.output_dir.parent == tmp_path
 
 
 def test_alpha_range_flag():

@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -421,6 +422,57 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert survived == {k: v for k, v in clean.items() if "2.0" not in k}
     _, _, rows = read_table(out / "records.csv")
     assert sorted({row[0] for row in rows}) == ["1.0", "5.0"]
+
+
+def test_failed_computation_removes_the_files_the_point_wrote(tmp_path, monkeypatch):
+    cfg = SweepConfig(
+        alpha_values=(1.0, 2.0, 5.0),
+        outputs=ALL_OUTPUTS,
+        output_dir=tmp_path / "clean",
+        threads=1,
+        **SMALL,
+    )
+    (energy,) = [r.energy for r in run_sweep(cfg) if r.alpha == 2.0 and r.state_index == 1]
+    clean = tree_digest(tmp_path / "clean")
+
+    out = tmp_path / "failed"
+    real_record = snwell.sweep.position_record
+    seen = []
+
+    def failing_record(state, grid):
+        if state.energy == energy:  # state 1 at alpha = 2.0
+            seen.append({p.name for p in out.iterdir()})
+            raise NumericalError("synthetic failure", state_index=state.index)
+        return real_record(state, grid)
+
+    monkeypatch.setattr(snwell.sweep, "position_record", failing_record)
+    with pytest.raises(SweepPointError) as excinfo:
+        run_sweep(replace(cfg, output_dir=out))
+    (failure,) = excinfo.value.failures
+    assert failure.alpha == 2.0 and failure.state_index == 1
+    # state 0's Wigner file was already written when state 1 failed
+    assert "wigner_2.0_n0.dat" in seen[0]
+    survived = tree_digest(out)
+    del survived["records.csv"], clean["records.csv"]
+    assert survived == {k: v for k, v in clean.items() if "2.0" not in k}
+
+
+def test_wigner_point_holds_one_field_at_a_time(tmp_path):
+    cfg = SweepConfig(alpha_values=(2.0,), outputs=frozenset({"wigner", "probability"}),
+                      n_points=599, n_states=5, threads=1)
+    grid, pg = make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599)
+    snwell.wigner._cos_table(grid, pg, 1.0)  # shared by every point, built once
+    tracemalloc.start()
+    try:
+        snwell.sweep._sweep_point(cfg, grid, pg, 2.0, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(list(tmp_path.iterdir())) == 5
+    # one field and, at most, its correlation matrix and level product or the
+    # probability's H mask: 9.1 MB measured; the five fields held to the
+    # end of the point peak at 20.5 MB
+    assert peak <= 4 * grid.n_points * pg.n_points * 8
 
 
 def test_point_failure_reported_and_others_survive(tmp_path, monkeypatch):
