@@ -19,7 +19,9 @@ exactly by construction, on any momentum window.
 rho is a quasiprobability: it integrates to 1 (up to momentum-window
 truncation) and obeys |rho| <= 1/(pi hbar), but it may be negative and is
 never clamped.  The probability of classically nonreactive behaviour is its
-integral over the region H(x, p) <= 0.
+integral over the region H(x, p) <= 0.  Both probability paths read that
+region from _level_reach: bitwise the cells where H <= 0 on every window,
+V or p^2 / 2m overflowing included.
 
 That integral is linear in the correlation matrix the field is built from.
 Written over the left offset point a = j - l instead of the row j,
@@ -31,10 +33,8 @@ Written over the left offset point a = j - l instead of the row j,
 so nonreactive_probabilities takes it without building the field.  K is a
 sum over the levels q_i (ascending), each weighted by its number of cells
 m_i (2 where p_k and -p_k are both on the grid, else 1).  Each row's
-region is the first r_j levels, r_j found by one bisection: H <= 0 holds
-exactly when p_k^2 / 2m <= -V(x_j) (a rounded sum keeps the sign of the
-exact one), |p|^2 is p^2 bitwise, and q^2 / 2m does not fall along the
-levels.  So G[l, a] = T[l, r_(a+l)], one entry of a table T of prefix sums
+region is its first r_j levels, found by one bisection (see _level_reach).
+So G[l, a] = T[l, r_(a+l)], one entry of a table T of prefix sums
 over the levels.  Since p^2 / 2m >= 0, a row can hold a region cell only
 where V(x_j) <= 0, i.e. up to x = 3 sqrt(mu) / alpha; past the last such
 row, stop, K vanishes exactly, and with a, l >= 0 every term with
@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .classical import ModelParams, hamiltonian, potential
+from .classical import ModelParams, potential
 from .discretize import SpatialGrid, uniform_points
 from .eigensolve import EigenState
 from .errors import ConfigurationError
@@ -143,6 +143,11 @@ def _levels(pg: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
     """q, m: the distinct |p_k| in ascending order and the number of cells at
     each (1, or 2 where p_k and -p_k are both on the grid)."""
     return np.unique(np.abs(pg.points), return_counts=True)
+
+
+def _column_levels(pg: MomentumGrid) -> np.ndarray:
+    """The index in _levels of each momentum column's |p_k|."""
+    return np.searchsorted(_levels(pg)[0], np.abs(pg.points))
 
 
 def _cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
@@ -242,7 +247,7 @@ def wigner_transform(
     cos_table = _cos_table(xg, pg, params.hbar)
     prefactor = xg.dx / (math.pi * params.hbar)
     by_level = prefactor * (_correlation_matrix(state.values) @ cos_table)
-    values = by_level[:, np.searchsorted(_levels(pg)[0], np.abs(pg.points))]
+    values = by_level[:, _column_levels(pg)]
     return WignerField(
         values=values,
         state_index=state.index,
@@ -261,13 +266,13 @@ def marginal_x(w: WignerField) -> np.ndarray:
 def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     """Integral of rho over the classically nonreactive region H(x, p) <= 0.
 
-    Cells are included by the sign of H at their sample point (x_j, p_k); no
-    sub-cell refinement at the separatrix.  Being a quasiprobability integral
-    on a finite window, the result can fall slightly outside [0, 1] and is
-    reported as computed.
+    Cells are included by the sign of H at their sample point (x_j, p_k), as
+    read from _level_reach; no sub-cell refinement at the separatrix.  Being
+    a quasiprobability integral on a finite window, the result can fall
+    slightly outside [0, 1] and is reported as computed.
     """
-    h = hamiltonian(params, w.spatial_grid.points[:, None], w.momentum_grid.points[None, :])
-    inside = np.where(h <= 0.0, w.values, 0.0)
+    reach = _level_reach(w.spatial_grid, w.momentum_grid, params)
+    inside = np.where(_column_levels(w.momentum_grid) < reach[:, None], w.values, 0.0)
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
 
@@ -276,14 +281,16 @@ def _level_reach(xg: SpatialGrid, pg: MomentumGrid, params: ModelParams) -> np.n
     H(x_j, p_k) <= 0: the region is exactly the cells whose |p_k| is one of
     the first reach[j] levels.
 
-    hamiltonian(x_j, p_k) is the rounded sum f_k + V_j, f_k = p_k**2 / 2m; a
-    rounded sum is <= 0 exactly when the exact one is, so the cell test is
+    H(x_j, p_k) is the rounded sum f_k + V_j, f_k = p_k**2 / 2m; a rounded
+    sum is <= 0 exactly when the exact one is, so the cell test is
     f_k <= -V_j with no rounding of its own.  |p|**2 is p**2 bitwise and
     q**2 / 2m does not fall along the ascending levels, so one bisection
-    finds the row's levels.  An empty row has reach 0.
+    finds the row's levels.  An overflowed H (NaN or +inf) is never <= 0: the
+    bisection runs over the finite f only, and fmax reads a NaN -V_j as -1.
     """
     kinetic = _levels(pg)[0] ** 2 / (2.0 * params.mass)
-    return np.searchsorted(kinetic, -potential(params, xg.points), side="right")
+    bound = np.fmax(-potential(params, xg.points), -1.0)
+    return np.searchsorted(kinetic[np.isfinite(kinetic)], bound, side="right")
 
 
 def nonreactive_probabilities(

@@ -469,10 +469,10 @@ def test_wigner_point_holds_one_field_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(list(tmp_path.iterdir())) == 5
-    # one field and, at most, its correlation matrix and level product or the
-    # probability's H mask: 9.1 MB measured; the five fields held to the
-    # end of the point peak at 20.5 MB
-    assert peak <= 4 * grid.n_points * pg.n_points * 8
+    # one field and, at most, its correlation matrix and level product or
+    # the probability's masked copy of it: 6.2 MB measured; an N x N table
+    # of H alongside that copy peaks at 9.1 MB
+    assert peak <= 3 * grid.n_points * pg.n_points * 8
 
 
 def test_point_failure_reported_and_others_survive(tmp_path, monkeypatch):

@@ -321,18 +321,45 @@ def test_momentum_symmetry_is_bitwise(alpha, n, pg):
          pg=make_momentum_grid(-6.0, 6.0, 150))
 @example(mu=4.0, alpha=1.0, mass=3.0, a=-1.0, width=10.0, n=149,
          pg=make_momentum_grid(0.5, 7.0, 149))
+# overflow: V is NaN on every row; then V is -inf or NaN on every row, and
+# p^2 / 2m is inf on every level but p = 0, so H is NaN or -inf there
+@example(mu=4.0, alpha=1.0, mass=1.0, a=1e200, width=1e200, n=9,
+         pg=make_momentum_grid(-6.0, 6.0, 9))
+@example(mu=4.0, alpha=1.0, mass=1.0, a=-2e200, width=3e200, n=9,
+         pg=make_momentum_grid(-1e200, 1e200, 9))
+@example(mu=4.0, alpha=1.0, mass=1.0, a=-2e200, width=3e200, n=9,
+         pg=make_momentum_grid(-1e300, 1e300, 9))
 def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, pg):
     params = ModelParams(mu, alpha, mass=mass)
     xg = make_grid(a, a + width, n)
-    inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
+        reach = _level_reach(xg, pg, params)
     levels, counts = _levels(pg)
     assert np.all(np.diff(levels) > 0) and set(counts.tolist()) <= {1, 2}
-    reach = _level_reach(xg, pg, params)
     cells = np.concatenate(([0], np.cumsum(counts)))  # cells[r] = sum(counts[:r])
     np.testing.assert_array_equal(cells[reach], np.count_nonzero(inside, axis=1))
     # the region of each row is exactly the cells with |p_k| <= levels[reach - 1]
     top = np.concatenate(([-np.inf], levels))[reach]  # -inf for an empty row
     np.testing.assert_array_equal(np.abs(pg.points) <= top[:, None], inside)
+
+
+def reference_probability(w, params):
+    """The integral of rho over the cells where H, tabulated on the grid, is <= 0."""
+    h = hamiltonian(params, w.spatial_grid.points[:, None], w.momentum_grid.points[None, :])
+    inside = np.where(h <= 0.0, w.values, 0.0)
+    return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
+
+
+@given(alpha=st.floats(0.5, 5.0), mass=st.floats(0.1, 10.0), n=st.integers(5, 120),
+       pg=momentum_windows())
+@example(alpha=1.0, mass=1.0, n=599, pg=make_momentum_grid(-6.0, 6.0, 599))
+def test_field_probability_equals_the_hamiltonian_mask_sum_bitwise(alpha, mass, n, pg):
+    params = ModelParams(4.0, alpha, mass=mass)
+    xg = make_grid(-1.0, 9.0, n)
+    for state in solve(assemble(params, xg), 3).states:
+        w = wigner_transform(state, xg, pg, params)
+        assert nonreactive_probability(w, params) == reference_probability(w, params)
 
 
 @given(
