@@ -4,7 +4,8 @@ Configuration comes from an optional flat `key = value` file plus flags, over
 the built-in defaults (mu = 4, alpha in {1, 2, 5}, window [-1, 9] x [-6, 6],
 N = 599, 5 states).  Each file key is a flag's name, written with `-` or `_`,
 and the flag's own parser reads its value; `alpha` may repeat, one value per
-line, and `fail_fast` takes `true` or `false`:
+line, and `fail_fast` takes `true`, `yes`, `1` or `on`, or `false`, `no`,
+`0` or `off`, in any case:
 
     mu = 4
     alpha = 1
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .sweep import DEFAULT_OUTPUTS, OUTPUT_KINDS, SweepConfig, SweepPointError, run_sweep
 
-__all__ = ["main", "build_parser", "parse_config_file", "config_from_args"]
+__all__ = ["main", "build_parser", "config_from_args"]
 
 
 class _NegativeFloat:
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path: Path) -> dict[str, list[str]]:
+def _read_config_file(path: Path) -> dict[str, list[str]]:
     """Read a flat key = value file; repeated keys accumulate in order."""
     entries: dict[str, list[str]] = {}
     try:
@@ -144,7 +145,7 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
     parser.exit_on_error = False
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     tokens = []
-    for key, values in parse_config_file(path).items():
+    for key, values in _read_config_file(path).items():
         if key not in actions:
             raise ConfigurationError(f"unknown config key '{key}'")
         if len(values) > 1 and key != "alpha":

@@ -11,9 +11,9 @@ nodes; l runs over every integer (positive and negative) for which both
 points stay inside [a, b], consistent with psi being identically zero
 outside the Dirichlet window.  Real eigenfunctions kill the sine part
 analytically, so no complex arrays are ever built, and the cosine depends on
-p_k only through |p_k|.  Both phase tables below are therefore over the
-distinct momentum levels q_i = |p_k| (see _levels), and every column of the
-field is read from its level's column, so rho(x, p) = rho(x, -p) holds
+p_k only through |p_k|.  Both paths below therefore take their cosines over
+the distinct momentum levels q_i = |p_k| (see _levels), and every column of
+the field is read from its level's column, so rho(x, p) = rho(x, -p) holds
 exactly by construction, on any momentum window.
 
 rho is a quasiprobability: it integrates to 1 (up to momentum-window
@@ -51,14 +51,14 @@ not change a bit.  Probability-only sweeps never build a field; their values
 agree with nonreactive_probability(wigner_transform(...)) to 1e-14 (the two
 sums run in a different order).
 
-Each path builds only the phase table it reads, once per (x grid, p grid,
-hbar) and cached: wigner_transform the cosine table (see _build_cos_table),
-(L + 1) x (number of levels) doubles, so (L + 1) x ceil(n_p / 2) on a
-mirrored momentum grid, 2.9 MB at N = n_p = 1201; nonreactive_probabilities
-the level prefix table T (see _build_prefix_table), (L + 1) x (number of
-levels + 1) doubles, also 2.9 MB at N = 1201, built in row blocks without
-the cosine table.  A probability-only sweep therefore holds one table and a
-Wigner sweep, which takes its probabilities from the fields, the other.
+Only nonreactive_probabilities reads a cached phase table: the level prefix
+table T (see _build_prefix_table), (L + 1) x (number of levels + 1)
+doubles, so (L + 1) x (ceil(n_p / 2) + 1) on a mirrored momentum grid,
+2.9 MB at N = n_p = 1201, built once per (x grid, p grid, hbar) in row
+blocks and shared by concurrent sweep points.  wigner_transform computes its
+(L + 1) x (number of levels) cosines on each call, 7 % of its time at
+N = 599 and 17 % at N = 2401, so a Wigner sweep, which takes its
+probabilities from the fields, holds no table.
 """
 
 from __future__ import annotations
@@ -139,38 +139,17 @@ def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float) -> np.ndarray:
     return np.cos(table, out=table)
 
 
-def _levels(pg: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
-    """q, m: the distinct |p_k| in ascending order and the number of cells at
-    each (1, or 2 where p_k and -p_k are both on the grid)."""
-    return np.unique(np.abs(pg.points), return_counts=True)
-
-
-def _column_levels(pg: MomentumGrid) -> np.ndarray:
-    """The index in _levels of each momentum column's |p_k|."""
-    return np.searchsorted(_levels(pg)[0], np.abs(pg.points))
-
-
-def _cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """The cached cosine table; sweep points that start together wait for one build."""
-    with _kernel_lock:
-        return _build_cos_table(xg, pg, hbar)
+def _levels(pg: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q, columns, m: the distinct |p_k| in ascending order, the index in q of
+    each momentum column's |p_k|, and the number of cells at each level (1,
+    or 2 where p_k and -p_k are both on the grid)."""
+    return np.unique(np.abs(pg.points), return_inverse=True, return_counts=True)
 
 
 def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
     """The cached prefix table; sweep points that start together wait for one build."""
     with _kernel_lock:
         return _build_prefix_table(xg, pg, hbar)
-
-
-@functools.lru_cache(maxsize=4)
-def _build_cos_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """cos(eta_l q_i / hbar), rows l = 0..L, one column per |p| level q_i
-    (see _levels), so (L + 1) x ceil(n_p / 2) on a mirrored grid; read-only,
-    so concurrent sweep points can share it."""
-    eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
-    table = _cos_rows(eta, _levels(pg)[0], hbar)
-    table.flags.writeable = False
-    return table
 
 
 @functools.lru_cache(maxsize=4)
@@ -188,7 +167,7 @@ def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.nd
     """
     lmax = (xg.n_points - 1) // 2
     eta = 2.0 * xg.dx * np.arange(lmax + 1)
-    levels, counts = _levels(pg)
+    levels, _, counts = _levels(pg)
     prefix = np.zeros((lmax + 1, levels.size + 1))
     rows = max(1, _BLOCK_DOUBLES // levels.size)
     for l0 in range(0, lmax + 1, rows):
@@ -236,18 +215,20 @@ def wigner_transform(
 ) -> WignerField:
     """Wigner quasiprobability of one eigenstate on the product grid.
 
-    One correlation-matrix product with the cached cosine table gives a
-    column per |p| level: O(N^2 L) flops, rows independent, deterministic
-    output regardless of BLAS threading.  Each momentum column then reads its
-    level's column.  Every |p_k| is a level, so this is exact, and the
-    columns at p and -p are one evaluation, so rho(x, p) = rho(x, -p) holds
-    bitwise by construction.
+    One correlation-matrix product with the cosines of the |p| levels,
+    computed on each call, gives a column per level: O(N^2 L) flops, rows
+    independent, deterministic output regardless of BLAS threading.  Each
+    momentum column then reads its level's column.  Every |p_k| is a level,
+    so this is exact, and the columns at p and -p are one evaluation, so
+    rho(x, p) = rho(x, -p) holds bitwise by construction.
     """
     _check_state(state, xg)
-    cos_table = _cos_table(xg, pg, params.hbar)
+    levels, columns, _ = _levels(pg)
+    eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
     prefactor = xg.dx / (math.pi * params.hbar)
-    by_level = prefactor * (_correlation_matrix(state.values) @ cos_table)
-    values = by_level[:, _column_levels(pg)]
+    by_level = prefactor * (
+        _correlation_matrix(state.values) @ _cos_rows(eta, levels, params.hbar))
+    values = by_level[:, columns]
     return WignerField(
         values=values,
         state_index=state.index,
@@ -272,7 +253,7 @@ def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     slightly outside [0, 1] and is reported as computed.
     """
     reach = _level_reach(w.spatial_grid, w.momentum_grid, params)
-    inside = np.where(_column_levels(w.momentum_grid) < reach[:, None], w.values, 0.0)
+    inside = np.where(_levels(w.momentum_grid)[1] < reach[:, None], w.values, 0.0)
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
 

@@ -155,6 +155,8 @@ PARITY_CASES = [
     ("alpha_range", "2 4 3", ["--alpha-range", "2", "4", "3"], ["--alpha", "7"]),
     ("fail_fast", "true", ["--fail-fast"], ["--fail-fast"]),
     ("fail_fast", "false", [], ["--fail-fast"]),
+    ("fail_fast", "yes", ["--fail-fast"], ["--fail-fast"]),
+    ("fail_fast", "off", [], ["--fail-fast"]),
 ]
 
 

@@ -461,7 +461,6 @@ def test_wigner_point_holds_one_field_at_a_time(tmp_path):
     cfg = SweepConfig(alpha_values=(2.0,), outputs=frozenset({"wigner", "probability"}),
                       n_points=599, n_states=5, threads=1)
     grid, pg = make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599)
-    snwell.wigner._cos_table(grid, pg, 1.0)  # shared by every point, built once
     tracemalloc.start()
     try:
         snwell.sweep._sweep_point(cfg, grid, pg, 2.0, tmp_path)
@@ -469,9 +468,9 @@ def test_wigner_point_holds_one_field_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(list(tmp_path.iterdir())) == 5
-    # one field and, at most, its correlation matrix and level product or
-    # the probability's masked copy of it: 6.2 MB measured; an N x N table
-    # of H alongside that copy peaks at 9.1 MB
+    # one field and, at most, its correlation matrix, cosines and level
+    # product or the probability's masked copy of it: 6.2 MB measured; an
+    # N x N table of H alongside that copy peaks at 9.1 MB
     assert peak <= 3 * grid.n_points * pg.n_points * 8
 
 

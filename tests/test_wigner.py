@@ -29,11 +29,10 @@ from snwell import (
 
 import snwell.wigner
 from snwell.classical import hamiltonian
+from snwell.eigensolve import EigenState
 from snwell.wigner import (
-    _build_cos_table,
     _build_prefix_table,
     _correlation_matrix,
-    _cos_table,
     _level_reach,
     _levels,
     _prefix_table,
@@ -335,8 +334,9 @@ def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, p
     with np.errstate(over="ignore", invalid="ignore"):
         inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
         reach = _level_reach(xg, pg, params)
-    levels, counts = _levels(pg)
+    levels, columns, counts = _levels(pg)
     assert np.all(np.diff(levels) > 0) and set(counts.tolist()) <= {1, 2}
+    np.testing.assert_array_equal(levels[columns], np.abs(pg.points))
     cells = np.concatenate(([0], np.cumsum(counts)))  # cells[r] = sum(counts[:r])
     np.testing.assert_array_equal(cells[reach], np.count_nonzero(inside, axis=1))
     # the region of each row is exactly the cells with |p_k| <= levels[reach - 1]
@@ -474,7 +474,7 @@ def test_probability_kernel_memory_stays_within_its_blocks():
 def reference_tables(xg, pg, hbar):
     """The cosine and prefix tables built whole: the columns of both are the
     distinct |p_k|, ascending, and the prefix table weights each by its
-    number of cells."""
+    number of cells.  Also the level of each momentum column."""
     eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
     cells = Counter(np.abs(pg.points).tolist())
     levels = np.array(sorted(cells))
@@ -483,7 +483,9 @@ def reference_tables(xg, pg, hbar):
     prefix = np.zeros((eta.size, levels.size + 1))
     prefix[:, 1:] = np.cumsum(counts * cos_table, axis=1)
     prefix[1:] *= 2.0
-    return cos_table, prefix
+    rank = {q: i for i, q in enumerate(levels.tolist())}
+    columns = np.array([rank[q] for q in np.abs(pg.points).tolist()])
+    return cos_table, prefix, columns
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
@@ -492,12 +494,15 @@ def reference_tables(xg, pg, hbar):
 def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     xg = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
-    cos_table, prefix = reference_tables(xg, pg, hbar)
-    levels = np.unique(np.abs(pg.points))
-    # fresh builds, not the cached ones
-    built = _build_cos_table.__wrapped__(xg, pg, hbar)
-    assert built.shape == cos_table.shape == ((n - 1) // 2 + 1, levels.size)
-    assert built.tobytes() == cos_table.tobytes()
+    cos_table, prefix, columns = reference_tables(xg, pg, hbar)
+    assert cos_table.shape == ((n - 1) // 2 + 1, np.unique(np.abs(pg.points)).size)
+    # the transform's cosines are the table's, read through each column's level
+    psi = np.random.default_rng(n).normal(size=n)
+    field = wigner_transform(EigenState(0, 0.0, psi), xg, pg, ModelParams(4.0, 1.0, hbar=hbar))
+    prefactor = xg.dx / (math.pi * hbar)
+    expected = (prefactor * (_correlation_matrix(psi) @ cos_table))[:, columns]
+    assert field.values.tobytes() == expected.tobytes()
+    # a fresh build, not the cached one
     assert _build_prefix_table.__wrapped__(xg, pg, hbar).tobytes() == prefix.tobytes()
 
 
@@ -538,25 +543,23 @@ def test_prefix_table_builds_without_the_cosine_table():
 
 def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
     same_grids = (make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599))
-    for fetch in (_cos_table, _prefix_table):
-        table = fetch(saddle_grid, momentum_grid, 1.0)
-        assert fetch(*same_grids, 1.0) is table
-        assert fetch(saddle_grid, momentum_grid, 2.0) is not table
-        with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+    table = _prefix_table(saddle_grid, momentum_grid, 1.0)
+    assert _prefix_table(*same_grids, 1.0) is table
+    assert _prefix_table(saddle_grid, momentum_grid, 2.0) is not table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_phase_kernel_built_once_by_concurrent_callers():
     grid = make_grid(-1.0, 9.0, 301)
     pg = make_momentum_grid(-6.0, 6.0, 301)
-    _build_cos_table.cache_clear()
     _build_prefix_table.cache_clear()
     start = threading.Barrier(6)
     tables = []
 
     def fetch():
         start.wait(timeout=10)
-        tables.append((_cos_table(grid, pg, 1.0), _prefix_table(grid, pg, 1.0)))
+        tables.append(_prefix_table(grid, pg, 1.0))
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -570,26 +573,21 @@ def test_phase_kernel_built_once_by_concurrent_callers():
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert len(tables) == 6
-    assert all(c is tables[0][0] and p is tables[0][1] for c, p in tables)
-    assert _build_cos_table.cache_info().misses == 1
+    assert all(p is tables[0] for p in tables)
     assert _build_prefix_table.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
-    ("outputs", "built", "not_built"),
-    [
-        ("probability", _build_prefix_table, _build_cos_table),
-        ("wigner,probability", _build_cos_table, _build_prefix_table),
-    ],
+    ("outputs", "builds"),
+    [("probability", 1), ("wigner,probability", 0)],
     ids=["probability", "wigner_probability"],
 )
-def test_sweep_builds_only_the_table_it_reads(tmp_path, outputs, built, not_built):
-    _build_cos_table.cache_clear()
+def test_sweep_builds_only_the_table_it_reads(tmp_path, outputs, builds):
+    # a Wigner sweep takes its probabilities from the fields
     _build_prefix_table.cache_clear()
     run_sweep(SweepConfig(alpha_values=(1.0, 2.0), outputs=frozenset(outputs.split(",")),
                           output_dir=tmp_path, n_points=149, n_states=2))
-    assert built.cache_info().misses == 1
-    assert not_built.cache_info().misses == 0
+    assert _build_prefix_table.cache_info().misses == builds
 
 
 def test_readme_prefix_table_size_matches_the_build():
@@ -599,3 +597,21 @@ def test_readme_prefix_table_size_matches_the_build():
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
     built = _build_prefix_table.__wrapped__(xg, pg, 1.0).nbytes / 1e6
     assert abs(float(stated.group(1)) - built) <= 0.1
+
+
+def test_readme_contraction_shares_match_the_level_reach():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"covers ([\d.]+) % of the\s+N \(L\+1\) table at alpha = 1, ([\d.]+) % at "
+                       r"alpha = 5 and ([\d.]+) % over the 40-point\s+sweep", readme)
+    n = 599
+    xg, pg = make_grid(-1.0, 9.0, n), make_momentum_grid(-6.0, 6.0, n)
+    a, l = np.arange(n)[:, None], np.arange((n - 1) // 2 + 1)[None, :]
+
+    def share(alpha):
+        """The terms (a, l) with a + l < stop and a + 2l < N, over N (L + 1)."""
+        stop = np.flatnonzero(_level_reach(xg, pg, ModelParams(4.0, alpha)))[-1] + 1
+        return np.count_nonzero((a + l < stop) & (a + 2 * l < n)) / (a.size * l.size)
+
+    sweep = np.mean([share(alpha) for alpha in np.linspace(1.0, 5.0, 40)])
+    computed = [round(100 * s) for s in (share(1.0), share(5.0), sweep)]
+    assert [float(v) for v in stated.groups()] == computed
