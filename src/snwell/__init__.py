@@ -5,12 +5,12 @@ observables, Wigner quasiprobability fields, and the phase-space probability
 of classically nonreactive behaviour, swept over the well-depth parameter.
 """
 
-from .classical import ModelParams, contour_points, depth, hamiltonian, potential
+from .classical import (ModelParams, contour_points, depth, hamiltonian,
+                        harmonic_energy_estimate, potential)
 from .discretize import DiscreteHamiltonian, SpatialGrid, assemble, make_grid
 from .eigensolve import EigenState, Spectrum, eigenvalue_residual, solve
 from .errors import ConfigurationError, NumericalError
 from .observables import ObservableRecord, moment, position_record, uncertainty
-from .perturbation import HarmonicApprox, expand_about_centre, harmonic_energy_estimate
 from .sweep import (
     SweepConfig,
     SweepPointError,
@@ -30,12 +30,12 @@ from .wigner import (
 )
 
 __all__ = [
-    "ModelParams", "contour_points", "depth", "hamiltonian", "potential",
+    "ModelParams", "contour_points", "depth", "hamiltonian", "harmonic_energy_estimate",
+    "potential",
     "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
     "EigenState", "Spectrum", "eigenvalue_residual", "solve",
     "ConfigurationError", "NumericalError",
     "ObservableRecord", "moment", "position_record", "uncertainty",
-    "HarmonicApprox", "expand_about_centre", "harmonic_energy_estimate",
     "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid", "load_wigner_grid",
     "run_sweep",
     "MomentumGrid", "WignerField", "make_momentum_grid", "marginal_x",

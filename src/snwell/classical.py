@@ -5,14 +5,23 @@ The system is the one degree-of-freedom Hamiltonian
     H(x, p) = p^2 / (2 m) + V(x),      V(x) = -sqrt(mu) x^2 + (alpha/3) x^3,
 
 with mu >= 0 and alpha > 0.  For mu > 0 the potential has a barrier top at
-x = 0 (energy 0) and a well bottom at x = 2 sqrt(mu)/alpha (computed, with its
-energy -D, by perturbation.expand_about_centre); as mu -> 0 the two merge and
-annihilate.  The well depth
+x = 0 (energy 0) and a well bottom, the centre, at x = 2 sqrt(mu)/alpha; as
+mu -> 0 the two merge and annihilate.  The well depth
 
     D = 4 mu^(3/2) / (3 alpha^2)
 
 is the barrier-to-bottom energy drop and is the natural sweep coordinate:
 at fixed mu, larger alpha means a shallower well.
+
+V is a cubic, so its Taylor expansion about the centre terminates: with
+y = x - 2 sqrt(mu)/alpha, exactly
+
+    V = -D + sqrt(mu) y^2 + (alpha/3) y^3,
+
+a harmonic oscillator of frequency omega = sqrt(2 sqrt(mu)/m) at energy -D,
+perturbed by a cubic term.  Dropping the cubic term gives the level estimate
+of harmonic_energy_estimate, E_n ~ -D + hbar omega (n + 1/2): linear in D
+with slope -1 at fixed mu, the drift of the computed levels with depth.
 
 Everything here is a pure function of its arguments and can be called from
 any number of threads.
@@ -27,7 +36,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["ModelParams", "potential", "hamiltonian", "depth", "contour_points"]
+__all__ = [
+    "ModelParams", "potential", "hamiltonian", "depth", "harmonic_energy_estimate",
+    "contour_points",
+]
 
 # kinetic energies down to -TURNING_POINT_RTOL * max(1, |e|) count as turning
 # points in contour_points; the inversion is analytic, so this only absorbs
@@ -77,6 +89,16 @@ def hamiltonian(params: ModelParams, x, p):
 def depth(params: ModelParams) -> float:
     """Well depth D = 4 mu^(3/2) / (3 alpha^2); zero exactly at the bifurcation."""
     return 4.0 * params.mu**1.5 / (3.0 * params.alpha**2)
+
+
+def harmonic_energy_estimate(params: ModelParams, n: int) -> float:
+    """-D + hbar omega (n + 1/2), the cubic-free level estimate."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if params.mu == 0:
+        raise ValueError("mu = 0: the centre has merged with the saddle, no expansion point")
+    omega = math.sqrt(2.0 * math.sqrt(params.mu) / params.mass)
+    return -depth(params) + params.hbar * omega * (n + 0.5)
 
 
 def contour_points(params: ModelParams, e: float, grid) -> np.ndarray:

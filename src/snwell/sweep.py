@@ -112,10 +112,6 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.alpha_values) < 1:
             raise ConfigurationError("alpha_values must not be empty")
-        if not all(math.isfinite(a) and a > 0 for a in self.alpha_values):
-            raise ConfigurationError(
-                f"alpha values must be finite and > 0, got {self.alpha_values}"
-            )
         if len(set(self.alpha_values)) != len(self.alpha_values):
             raise ConfigurationError("alpha values must be distinct (they name output files)")
         if not 1 <= self.n_states <= self.n_points - 2:
@@ -128,7 +124,7 @@ class SweepConfig:
             raise ConfigurationError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUT_KINDS}")
         if not (isinstance(self.threads, int) and self.threads >= 1):
             raise ConfigurationError(f"threads must be an integer >= 1, got {self.threads!r}")
-        # ModelParams checks mu, hbar and mass; V is a cubic, so on a finite
+        # ModelParams checks alpha, mu, hbar and mass; V is a cubic, so on a finite
         # window it stays finite everywhere once it is finite at both ends
         ends = np.array(self.domain, dtype=float)
         for alpha in self.alpha_values:

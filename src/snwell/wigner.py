@@ -48,8 +48,8 @@ against each block in one einsum with stride-2 views of the stacked psi: no
 BLAS call, no correlation matrix and no array larger than one block.  Each
 sum over l runs from l = 0 upward whatever the block size, so the blocks do
 not change a bit.  Probability-only sweeps never build a field; their values
-agree with nonreactive_probability(wigner_transform(...)) to 1e-14 (the two
-sums run in a different order).
+agree with nonreactive_probability(wigner_transform(...)) to 1e-14 max(1, S),
+S = sum |rho| dx dp over the region cells (the sums run in a different order).
 
 Only nonreactive_probabilities reads a cached phase table: the level prefix
 table T (see _build_prefix_table), (L + 1) x (number of levels + 1)
@@ -292,7 +292,8 @@ def nonreactive_probabilities(
     and the terms left out are exact zeros, so the result does not depend on
     the block size.  With no region cell at all every probability is 0.0.
     Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
-    absolute, not bitwise (the sums run in a different order).
+    max(1, S), S = sum |rho| dx dp over the region cells, not bitwise (the
+    sums run in a different order, so the difference scales with the terms).
     """
     for state in states:
         _check_state(state, xg)

@@ -10,8 +10,8 @@ from snwell import (
     ModelParams,
     contour_points,
     depth,
-    expand_about_centre,
     hamiltonian,
+    harmonic_energy_estimate,
     make_grid,
     potential,
 )
@@ -71,7 +71,7 @@ def test_equilibria_examples():
     assert potential(ModelParams(4.0, 2.0), 0.0) == 0.0
     for alpha, x_centre, v_centre in ((2.0, 2.0, -8.0 / 3.0), (1.0, 4.0, -32.0 / 3.0)):
         params = ModelParams(4.0, alpha)
-        centre = expand_about_centre(params).center
+        centre = 2.0 * math.sqrt(params.mu) / params.alpha
         assert centre == pytest.approx(x_centre, rel=1e-14)
         assert potential(params, centre) == pytest.approx(v_centre, rel=1e-14)
 
@@ -80,7 +80,7 @@ def test_equilibria_degenerate_at_bifurcation():
     # at mu = 0 the centre has merged into the saddle: no expansion point, no depth
     params = ModelParams(0.0, 1.0)
     with pytest.raises(ValueError):
-        expand_about_centre(params)
+        harmonic_energy_estimate(params, 0)
     assert depth(params) == 0.0 and potential(params, 0.0) == 0.0
 
 
@@ -94,10 +94,8 @@ def test_saddle_anchored_at_origin(params):
 
 @given(params=params_st)
 def test_centre_energy_is_minus_depth(params):
-    approx = expand_about_centre(params)
-    v_centre = potential(params, approx.center)
+    v_centre = potential(params, 2.0 * math.sqrt(params.mu) / params.alpha)
     assert v_centre == pytest.approx(-depth(params), rel=1e-11)
-    assert approx.offset == pytest.approx(-depth(params), rel=1e-14)
 
 
 @given(params=params_st)
@@ -105,7 +103,7 @@ def test_curvature_signs_at_equilibria(params):
     # second central difference of a cubic has no truncation error, so a
     # wide step only reduces cancellation noise
     h = 1e-2
-    centre = expand_about_centre(params).center
+    centre = 2.0 * math.sqrt(params.mu) / params.alpha
 
     def second_diff(x0):
         return (
@@ -115,6 +113,88 @@ def test_curvature_signs_at_equilibria(params):
     expected = 2.0 * math.sqrt(params.mu)
     assert second_diff(0.0) == pytest.approx(-expected, rel=1e-5)
     assert second_diff(centre) == pytest.approx(expected, rel=1e-5)
+
+
+def test_expansion_reference_values():
+    # centre 2 sqrt(mu) / alpha, offset -D, omega = hbar-scaled level spacing,
+    # cubic coefficient V'''/6 from an exact third central difference
+    for alpha, x_centre, offset, cubic_coeff in (
+        (1.0, 4.0, -32.0 / 3.0, 1.0 / 3.0),
+        (2.0, 2.0, -8.0 / 3.0, 2.0 / 3.0),
+    ):
+        params = ModelParams(4.0, alpha)
+        centre = 2.0 * math.sqrt(params.mu) / params.alpha
+        assert centre == pytest.approx(x_centre, rel=1e-14)
+        assert -depth(params) == pytest.approx(offset, rel=1e-14)
+        assert potential(params, centre) == pytest.approx(offset, rel=1e-14)
+        spacing = harmonic_energy_estimate(params, 1) - harmonic_energy_estimate(params, 0)
+        assert spacing / params.hbar == pytest.approx(2.0, rel=1e-14)
+        v = [potential(params, centre + k) for k in (-2, -1, 1, 2)]
+        third = (v[3] - 2.0 * v[2] + 2.0 * v[1] - v[0]) / 2.0
+        assert third / 6.0 == pytest.approx(cubic_coeff, rel=1e-14)
+
+
+def test_expansion_rejects_degenerate_well():
+    # at mu = 0 the quadratic term sqrt(mu) y^2 vanishes: no harmonic level
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError):
+            harmonic_energy_estimate(ModelParams(0.0, 1.0), n)
+
+
+@given(params=params_st, x=st.floats(min_value=-10.0, max_value=10.0))
+def test_cubic_taylor_expansion_is_exact(params, x):
+    # V = -D + sqrt(mu) y^2 + (alpha/3) y^3 with y = x - 2 sqrt(mu) / alpha
+    y = x - 2.0 * math.sqrt(params.mu) / params.alpha
+    quadratic = math.sqrt(params.mu) * y**2
+    cubic = params.alpha / 3.0 * y**3
+    reconstructed = -depth(params) + quadratic + cubic
+    tol = 1e-12 * max(1.0, depth(params) + abs(quadratic) + abs(cubic))
+    assert abs(reconstructed - potential(params, x)) <= tol
+
+
+def test_estimate_reference_values():
+    p = ModelParams(4.0, 1.0)
+    assert harmonic_energy_estimate(p, 0) == pytest.approx(-32.0 / 3.0 + 1.0, rel=1e-14)
+    assert harmonic_energy_estimate(p, 1) == pytest.approx(-32.0 / 3.0 + 3.0, rel=1e-14)
+    with pytest.raises(ValueError):
+        harmonic_energy_estimate(p, -1)
+
+
+@given(
+    params=st.builds(
+        ModelParams,
+        mu=st.floats(min_value=0.01, max_value=25.0),
+        alpha=st.floats(min_value=0.2, max_value=10.0),
+        mass=st.floats(min_value=0.25, max_value=4.0),
+    )
+)
+def test_estimate_level_spacing_matches_curvature(params):
+    # the spacing hbar omega has m omega^2 = V''(centre) = 2 sqrt(mu); it is
+    # the difference of two estimates near -D, hence the looser tolerance
+    spacing = harmonic_energy_estimate(params, 1) - harmonic_energy_estimate(params, 0)
+    omega = spacing / params.hbar
+    assert params.mass * omega**2 / 2.0 == pytest.approx(math.sqrt(params.mu), rel=1e-10)
+
+
+@given(
+    mu=st.floats(min_value=0.5, max_value=20.0),
+    n=st.integers(0, 5),
+)
+def test_estimate_slope_in_depth_is_minus_one(mu, n):
+    p1 = ModelParams(mu, 1.0)
+    p2 = ModelParams(mu, 2.5)
+    slope = (harmonic_energy_estimate(p1, n) - harmonic_energy_estimate(p2, n)) / (
+        depth(p1) - depth(p2)
+    )
+    assert slope == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_estimate_tracks_computed_deep_well_levels(deep_spectrum, deep_params):
+    # gaps frozen from a grid-refinement study; dominated by the cubic term
+    est0 = harmonic_energy_estimate(deep_params, 0)
+    est1 = harmonic_energy_estimate(deep_params, 1)
+    assert abs(deep_spectrum.energies[0] - est0) < 0.05
+    assert abs(deep_spectrum.energies[1] - est1) < 0.15
 
 
 @given(

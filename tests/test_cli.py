@@ -49,6 +49,17 @@ def test_figure_script_runs_are_valid_configs(tmp_path):
         assert cfg.output_dir.parent == tmp_path
 
 
+def test_convergence_study_script_runs():
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "convergence_study.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "E0 ~ -9.666667" in lines[1]  # -32/3 + 1 at mu = 4, alpha = 1
+    assert [row.split()[0] for row in lines[3:]] == ["149", "299", "599", "1201", "2401"]
+
+
 def test_alpha_range_flag():
     cfg = parse(["--alpha-range", "1", "2", "3"])
     assert cfg.alpha_values == (1.0, 1.5, 2.0)
@@ -302,3 +313,10 @@ def test_readme_flag_list_matches_the_parser():
     paragraph = readme[readme.index("Flags:"):].split("\n\n", 1)[0]
     options = {s for a in build_parser()._actions for s in a.option_strings}
     assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == options - {"-h", "--help"}
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from snwell import (
     EigenState,
     ModelParams,
     assemble,
-    expand_about_centre,
     make_grid,
     moment,
     position_record,
@@ -46,7 +47,7 @@ def test_harmonic_widths_match_analytic_values(shifted_harmonic):
 def test_means_between_saddle_and_centre(alpha, saddle_grid):
     params = ModelParams(4.0, alpha)
     s = solve(assemble(params, saddle_grid), 3)
-    centre = expand_about_centre(params).center
+    centre = 2.0 * math.sqrt(params.mu) / params.alpha
     for st in s.states:
         mean = moment(st, saddle_grid, 1)
         assert 0.0 < mean < centre

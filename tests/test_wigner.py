@@ -230,6 +230,17 @@ def test_nonreactive_probability_shallow_well(shallow_spectrum, saddle_grid, mom
         assert -0.05 <= p <= 1.05
 
 
+def assert_paths_agree(fused, state, xg, pg, params):
+    """|fused - field| <= 1e-14 max(1, S), S = sum |rho| dx dp over the region
+    cells: the two paths add the same terms in a different order, so their
+    difference scales with the size of the terms, not with 1."""
+    w = wigner_transform(state, xg, pg, params)
+    field = nonreactive_probability(w, params)
+    region = _levels(pg)[1] < _level_reach(xg, pg, params)[:, None]
+    scale = float(np.sum(np.abs(w.values[region]))) * xg.dx * pg.dp
+    assert abs(fused - field) <= 1e-14 * max(1.0, scale), (state.index, fused - field, scale)
+
+
 MOMENTUM_WINDOWS = {
     "odd_symmetric": lambda n: make_momentum_grid(-6.0, 6.0, n),
     "even_symmetric": lambda n: make_momentum_grid(-6.0, 6.0, n + 1),
@@ -252,8 +263,7 @@ def test_fused_probabilities_match_field_path(n, window):
         states = solve(assemble(params, grid), 5).states
         fused = nonreactive_probabilities(states, grid, pg, params)
         for st, prob in zip(states, fused):
-            field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
-            assert abs(prob - field_prob) <= 1e-14, (alpha, st.index)
+            assert_paths_agree(prob, st, grid, pg, params)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
@@ -376,14 +386,17 @@ def test_field_probability_equals_the_hamiltonian_mask_sum_bitwise(alpha, mass, 
          pg=make_momentum_grid(-6.0, 6.0, 5))
 @example(mu=4.0, alpha=0.5, mass=1.0, a=-1.0, width=10.0, n=6,
          pg=make_momentum_grid(-6.0, 6.0, 7))
+# a coarse grid whose region integral S is about 28: the paths differ by
+# 1.07e-14, 3 ulp of P, which only the scaled bound admits
+@example(mu=1.3674363385132404, alpha=0.25, mass=1.25, a=0.0, width=12.96875, n=5,
+         pg=make_momentum_grid(-6.75, 6.75, 2))
 def test_fused_probabilities_match_field_path_on_any_window(mu, alpha, mass, a, width, n, pg):
     params = ModelParams(mu, alpha, mass=mass)
     grid = make_grid(a, a + width, n)
     states = solve(assemble(params, grid), min(3, n - 2)).states
     fused = nonreactive_probabilities(states, grid, pg, params)
     for st, prob in zip(states, fused):
-        field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
-        assert abs(prob - field_prob) <= 1e-14, st.index
+        assert_paths_agree(prob, st, grid, pg, params)
 
 
 def test_fused_probabilities_carry_hbar_and_mass():
@@ -393,8 +406,7 @@ def test_fused_probabilities_carry_hbar_and_mass():
     states = solve(assemble(params, grid), 3).states
     fused = nonreactive_probabilities(states, grid, pg, params)
     for st, prob in zip(states, fused):
-        field_prob = nonreactive_probability(wigner_transform(st, grid, pg, params), params)
-        assert abs(prob - field_prob) <= 1e-14
+        assert_paths_agree(prob, st, grid, pg, params)
     assert nonreactive_probabilities([], grid, pg, params) == []
 
 
