@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort on the first failing sweep point")
     parser.add_argument("--threads", type=int, metavar="T",
                         help="sweep points run at once on a thread pool (default: the "
-                        "CPUs this process may use); 1 runs them serially")
+                        "CPUs this process may use, or 1 with wigner output); 1 runs "
+                        "them serially")
     parser._negative_number_matcher = _NegativeFloat()
     return parser
 

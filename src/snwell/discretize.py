@@ -74,14 +74,19 @@ class DiscreteHamiltonian:
     params: ModelParams
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product on an interior-point vector (length N - 2)."""
-        if v.shape != self.diagonal.shape:
+        """Matrix product with an interior-point vector (N - 2,) or with a
+        block of such vectors as columns (N - 2, k); each column's entries are
+        computed as for the column alone."""
+        if v.ndim not in (1, 2) or v.shape[0] != self.diagonal.size:
             raise ValueError(
-                f"vector length {v.shape} does not match interior size {self.diagonal.shape}"
+                f"shape {v.shape} is not ({self.diagonal.size},) or ({self.diagonal.size}, k)"
             )
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
+        diagonal, off = self.diagonal, self.off_diagonal
+        if v.ndim == 2:
+            diagonal, off = diagonal[:, None], off[:, None]
+        out = diagonal * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
         return out
 
 

@@ -5,8 +5,13 @@ n_states pairs, then (depending on the requested outputs) position
 observables, Wigner fields, the nonreactive probability, and classical
 contours at e = E_n.  Points are independent work items, computed on a
 thread pool of min(threads, points) workers, threads defaulting to the CPUs
-this process may run on; threads = 1 or a single point runs serially.  The
-eigensolver and most numpy work release the interpreter lock, and the
+this process may run on, or to 1 when the sweep writes Wigner files;
+threads = 1 or a single point runs serially.  Workers overlap only where
+the interpreter lock is released: in the LAPACK calls (made through ctypes)
+and the probability kernel's np.take.  The kernel's einsum contraction, the
+Wigner text formatting and numpy calls on small arrays hold it, so the
+solve's checks, the position moments and the probability kernel each take
+all of a point's states in one array pass.  The
 probability kernel works in fixed-size blocks, so memory grows with the
 threads in use, not with the number of points.  A point writes its files
 in one pass (each line by line to a temporary file moved into place): each
@@ -37,10 +42,11 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -50,7 +56,7 @@ from .classical import ModelParams, contour_points, depth, potential
 from .discretize import assemble, make_grid
 from .eigensolve import Spectrum, solve
 from .errors import ConfigurationError
-from .observables import position_record
+from .observables import position_records
 from .wigner import (
     WignerField,
     make_momentum_grid,
@@ -90,11 +96,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# threads when none is given: resolved in SweepConfig.__post_init__
+_DEFAULT_THREADS = object()
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one sweep run depends on.  Defaults are the standard setup:
     mu = 4, window [-1, 9] x [-6, 6], N = 599, five states, hbar = m = 1,
-    and one sweep point in flight per usable CPU."""
+    and one sweep point in flight per usable CPU, or one in all when the
+    sweep writes Wigner files: their text formatting holds the interpreter
+    lock, so a second worker adds a field in memory and no speed."""
 
     mu: float = 4.0
     alpha_values: tuple[float, ...] = (1.0, 2.0, 5.0)
@@ -107,9 +119,12 @@ class SweepConfig:
     outputs: frozenset = DEFAULT_OUTPUTS
     output_dir: Path = Path("sweep_out")
     fail_fast: bool = False
-    threads: int = field(default_factory=_usable_cpus)
+    threads: int = _DEFAULT_THREADS
 
     def __post_init__(self):
+        if self.threads is _DEFAULT_THREADS:
+            threads = 1 if "wigner" in self.outputs else _usable_cpus()
+            object.__setattr__(self, "threads", threads)
         if len(self.alpha_values) < 1:
             raise ConfigurationError("alpha_values must not be empty")
         if len(set(self.alpha_values)) != len(self.alpha_values):
@@ -190,20 +205,21 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
     want_prob = "probability" in cfg.outputs
     want_wigner = "wigner" in cfg.outputs
 
+    states, well_depth = spectrum.states, depth(params)
     tag = _fmt(alpha)
     records, written = [], []
     try:
         # without Wigner files the probabilities come straight from the
         # correlation matrices; with them, from the fields as emit_wigner_grid does
         if want_prob and not want_wigner:
-            probs = nonreactive_probabilities(spectrum.states, grid, pgrid, params)
+            probs = nonreactive_probabilities(states, grid, pgrid, params)
         else:
-            probs = [math.nan] * len(spectrum.states)
-        for state, prob in zip(spectrum.states, probs):
-            mean_x = sigma_x = math.nan
-            if "observables" in cfg.outputs:
-                rec = position_record(state, grid)
-                mean_x, sigma_x = rec.mean_x, rec.sigma_x
+            probs = [math.nan] * len(states)
+        if "observables" in cfg.outputs:
+            positions = [(r.mean_x, r.sigma_x) for r in position_records(states, grid)]
+        else:
+            positions = [(math.nan, math.nan)] * len(states)
+        for state, prob, (mean_x, sigma_x) in zip(states, probs, positions):
             if want_wigner:
                 w = wigner_transform(state, grid, pgrid, params)
                 if want_prob:
@@ -212,7 +228,7 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
                 emit_wigner_grid(w, written[-1])
                 del w
             records.append(SweepRecord(
-                alpha=alpha, depth=depth(params), state_index=state.index, energy=state.energy,
+                alpha=alpha, depth=well_depth, state_index=state.index, energy=state.energy,
                 mean_x=mean_x, sigma_x=sigma_x, nonreactive_prob=prob,
                 boundary_amplitude=state.boundary_amplitude,
             ))
@@ -222,7 +238,7 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
         if "contours" in cfg.outputs:
             written.append(outdir / f"contours_{tag}.csv")
             _write_contours(written[-1], spectrum,
-                            [contour_points(params, s.energy, grid) for s in spectrum.states])
+                            [contour_points(params, s.energy, grid) for s in states])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -288,13 +304,11 @@ def _write_records(path: Path, cfg: SweepConfig, records: list[SweepRecord]) -> 
         ],
     )
     lines.append(",".join(RECORD_COLUMNS))
+    # every value through float() as _fmt takes it; %d prints the index as str() does
+    row = ",".join("%d" if c == "state_index" else "%r" for c in RECORD_COLUMNS)
+    values = operator.attrgetter(*RECORD_COLUMNS)
     for r in sorted(records, key=lambda r: (r.alpha, r.state_index)):
-        lines.append(
-            ",".join(
-                str(r.state_index) if c == "state_index" else _fmt(getattr(r, c))
-                for c in RECORD_COLUMNS
-            )
-        )
+        lines.append(row % tuple(map(float, values(r))))
     _write_lines(path, lines)
 
 

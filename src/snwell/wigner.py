@@ -295,6 +295,8 @@ def nonreactive_probabilities(
     max(1, S), S = sum |rho| dx dp over the region cells, not bitwise (the
     sums run in a different order, so the difference scales with the terms).
     """
+    if not states:
+        return []
     for state in states:
         _check_state(state, xg)
     reach = _level_reach(xg, pg, params)
@@ -307,12 +309,11 @@ def nonreactive_probabilities(
     prefix = _prefix_table(xg, pg, params.hbar)
     # the prefix column of row j's region sums; the rows from stop on read
     # column 0, so their region sums are exact zeros
-    column = np.pad(reach[:stop], (0, lmax))
+    column = np.concatenate((reach[:stop], np.zeros(lmax, reach.dtype)))
     row_starts = (np.arange(lmax + 1) * prefix.shape[1])[:, None]
     # padded[s, m] = psi_s(x_m), zero beyond the window
     padded = np.zeros((len(states), n + 2 * lmax))
-    for s, state in enumerate(states):
-        padded[s, :n] = state.values
+    padded[:, :n] = [state.values for state in states]
     inner = np.empty((len(states), stop))
     size = max(_BLOCK_DOUBLES, lmax + 1)
     index, g_buffer = np.empty(size, dtype=np.intp), np.empty(size)
@@ -335,5 +336,7 @@ def nonreactive_probabilities(
         np.einsum("la,sla->sa", g, far, out=inner[:, a0 : a0 + width])
         a0 += width
     scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
+    # one dot per state: numpy sums one einsum over all states in another
+    # order once stop passes 8192, which would change the last bits
     return [float(np.einsum("a,a->", state.values[:stop], inner[s])) * scale
             for s, state in enumerate(states)]

@@ -30,6 +30,11 @@ def test_defaults_mirror_standard_setup():
     assert cfg.threads == cpus
 
 
+def test_wigner_output_defaults_to_one_thread():
+    assert parse(["--outputs", "wigner"]).threads == 1
+    assert parse(["--outputs", "wigner,probability", "--threads", "2"]).threads == 2
+
+
 def test_import_loads_no_scipy():
     # scipy.linalg used to be most of the command's start-up time
     env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]))

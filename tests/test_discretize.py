@@ -95,6 +95,17 @@ def test_apply_rejects_wrong_length():
     h = assemble(ModelParams(4.0, 1.0), make_grid(0.0, 1.0, 9))
     with pytest.raises(ValueError):
         h.apply(np.zeros(5))
+    for shape in ((5, 3), (7, 3, 2), ()):
+        with pytest.raises(ValueError):
+            h.apply(np.zeros(shape))
+
+
+def test_apply_to_a_block_equals_each_column_bitwise():
+    h = assemble(ModelParams(4.0, 1.0), make_grid(-1.0, 9.0, 101))
+    block = np.random.default_rng(3).standard_normal((99, 4))
+    columns = np.stack([h.apply(block[:, i].copy()) for i in range(4)], axis=1)
+    assert h.apply(block).tobytes() == columns.tobytes()
+    assert h.apply(np.asfortranarray(block)).tobytes() == columns.tobytes()
 
 
 def test_eigenvalues_inside_gershgorin_discs(deep_spectrum, saddle_grid, deep_params):

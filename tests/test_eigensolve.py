@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -200,4 +201,57 @@ def test_clustered_eigenvalues_raise(monkeypatch, saddle_grid, deep_params):
     _patched_solver(monkeypatch, merge)
     with pytest.raises(NumericalError, match="cluster") as excinfo:
         solve(assemble(deep_params, saddle_grid), 4)
+    assert excinfo.value.state_index == 1
+
+
+def per_column_reference(h, k):
+    """solve's conventions taken one eigenvector at a time: (energy, psi, amplitude)."""
+    w, v = snwell._lapack.lowest_eigenpairs(h.diagonal, h.off_diagonal, k)
+    out = []
+    for i in range(k):
+        psi = np.zeros(h.grid.n_points)
+        psi[1:-1] = v[:, i] / math.sqrt(float(np.sum(v[:, i] ** 2)) * h.grid.dx)
+        if psi[int(np.argmax(np.abs(psi)))] < 0:
+            psi = -psi
+        out.append((float(w[i]), psi, float(max(abs(psi[1]), abs(psi[-2])))))
+    return out
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("n, k",
+                         [(5, 1), (5, 3), (6, 4), (150, 1), (151, 149), (599, 5), (600, 7)])
+def test_solve_equals_the_per_column_reference_bitwise(monkeypatch, n, k, negate):
+    if negate:
+        # LAPACK returns each vector with its largest entry positive; negating
+        # every other one makes the sign rule flip them back.  The copy is in
+        # C order, where LAPACK's block is in Fortran order
+        real = snwell._lapack.lowest_eigenpairs
+
+        def negated(*args):
+            w, v = real(*args)
+            v = v.copy()
+            v[:, 1::2] *= -1.0
+            return w, v
+
+        monkeypatch.setattr(snwell._lapack, "lowest_eigenpairs", negated)
+    h = assemble(ModelParams(4.0, 2.0), make_grid(-1.0, 9.0, n))
+    spectrum = solve(h, k)
+    reference = per_column_reference(h, k)
+    for state, (energy, psi, amplitude) in zip(spectrum.states, reference, strict=True):
+        assert state.energy.hex() == energy.hex()
+        assert state.values.tobytes() == psi.tobytes()
+        assert state.boundary_amplitude.hex() == amplitude.hex()
+    # a flipped state's endpoint zeros are -0.0
+    assert [bool(np.signbit(s.values[0])) for s in spectrum.states] == [
+        negate and i % 2 == 1 for i in range(k)]
+
+
+def test_two_residual_failures_report_the_lower_state(monkeypatch, saddle_grid, deep_params):
+    def shift(w):
+        w[3] += 1e-2
+        w[1] += 1e-2
+
+    _patched_solver(monkeypatch, shift)
+    with pytest.raises(NumericalError, match="residual .* for state 1") as excinfo:
+        solve(assemble(deep_params, saddle_grid), 5)
     assert excinfo.value.state_index == 1

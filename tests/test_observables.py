@@ -10,6 +10,7 @@ from snwell import (
     make_grid,
     moment,
     position_record,
+    position_records,
     solve,
     uncertainty,
 )
@@ -114,3 +115,34 @@ def test_unnormalized_state_rejected(deep_spectrum, saddle_grid):
 def test_negative_power_rejected(deep_spectrum, saddle_grid):
     with pytest.raises(ValueError):
         moment(deep_spectrum.states[0], saddle_grid, -1)
+
+
+@pytest.mark.parametrize("n", [5, 6, 150, 599])
+def test_position_records_equal_the_moments_bitwise(n):
+    grid = make_grid(-1.0, 9.0, n)
+    rng = np.random.default_rng(n)
+    states = []
+    for i in range(4):
+        values = np.zeros(n)
+        values[1:-1] = rng.standard_normal(n - 2) * rng.uniform(0.1, 10.0)
+        values /= math.sqrt(float(np.sum(values**2)) * grid.dx)
+        states.append(EigenState(index=i, energy=0.0, values=values))
+    records = position_records(states, grid)
+    for state, rec in zip(states, records, strict=True):
+        m1, m2 = moment(state, grid, 1), moment(state, grid, 2)
+        # the one-state sums, written out
+        density = state.values * state.values
+        assert m1.hex() == (float(np.sum(density * grid.points)) * grid.dx).hex()
+        assert m2.hex() == (float(np.sum(density * grid.points**2)) * grid.dx).hex()
+        assert rec.state_index == state.index
+        assert rec.mean_x.hex() == m1.hex()
+        assert rec.sigma_x.hex() == math.sqrt(max(m2 - m1 * m1, 0.0)).hex()
+        assert position_record(state, grid) == position_records([state], grid)[0] == rec
+    assert position_records([], grid) == []
+
+
+def test_position_records_reject_an_unnormalized_state(deep_spectrum, saddle_grid):
+    good = deep_spectrum.states[0]
+    bad = EigenState(index=1, energy=0.0, values=2.0 * good.values)
+    with pytest.raises(ValueError, match="not normalized"):
+        position_records([good, bad], saddle_grid)

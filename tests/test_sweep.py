@@ -113,6 +113,31 @@ def test_sweep_uses_a_pool_of_usable_cpus_by_default(tmp_path, monkeypatch):
     assert pools == [3]
 
 
+def test_wigner_sweeps_default_to_one_worker(tmp_path, monkeypatch):
+    pools = []
+    real_pool = snwell.sweep.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(snwell.sweep, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(snwell.sweep, "_usable_cpus", lambda: 4)
+    alphas, wigner = (1.0, 2.0, 3.0), frozenset({"wigner"})
+    configs = [
+        SweepConfig(alpha_values=alphas, outputs=wigner, output_dir=tmp_path / "a", **SMALL),
+        SweepConfig(alpha_values=alphas, outputs=wigner, output_dir=tmp_path / "b", threads=2,
+                    **SMALL),
+        SweepConfig(alpha_values=alphas, outputs=frozenset({"observables"}),
+                    output_dir=tmp_path / "c", **SMALL),
+    ]
+    assert [cfg.threads for cfg in configs] == [1, 2, 4]
+    for cfg in configs:
+        run_sweep(cfg)
+    # the default Wigner sweep runs serially; an explicit 2 keeps its pool
+    assert pools == [2, 3]
+
+
 def test_interrupted_pooled_sweep_starts_no_further_point(tmp_path, monkeypatch):
     started = []
     waiting = threading.Event()
@@ -436,16 +461,17 @@ def test_failed_computation_removes_the_files_the_point_wrote(tmp_path, monkeypa
     clean = tree_digest(tmp_path / "clean")
 
     out = tmp_path / "failed"
-    real_record = snwell.sweep.position_record
+    real_transform = snwell.sweep.wigner_transform
     seen = []
 
-    def failing_record(state, grid):
+    # wigner_transform runs once per state, after the states before it wrote their files
+    def failing_transform(state, *args):
         if state.energy == energy:  # state 1 at alpha = 2.0
             seen.append({p.name for p in out.iterdir()})
             raise NumericalError("synthetic failure", state_index=state.index)
-        return real_record(state, grid)
+        return real_transform(state, *args)
 
-    monkeypatch.setattr(snwell.sweep, "position_record", failing_record)
+    monkeypatch.setattr(snwell.sweep, "wigner_transform", failing_transform)
     with pytest.raises(SweepPointError) as excinfo:
         run_sweep(replace(cfg, output_dir=out))
     (failure,) = excinfo.value.failures
@@ -455,6 +481,17 @@ def test_failed_computation_removes_the_files_the_point_wrote(tmp_path, monkeypa
     survived = tree_digest(out)
     del survived["records.csv"], clean["records.csv"]
     assert survived == {k: v for k, v in clean.items() if "2.0" not in k}
+
+
+def test_records_csv_same_for_numpy_float_alphas(tmp_path):
+    cfg = SweepConfig(alpha_values=(1.0, 2.5), outputs=frozenset({"observables"}),
+                      output_dir=tmp_path / "plain", threads=1, **SMALL)
+    run_sweep(cfg)
+    numpy_alphas = tuple(np.float64(a) for a in cfg.alpha_values)
+    run_sweep(replace(cfg, alpha_values=numpy_alphas, output_dir=tmp_path / "numpy"))
+    plain = (tmp_path / "plain" / "records.csv").read_bytes()
+    assert (tmp_path / "numpy" / "records.csv").read_bytes() == plain
+    assert b"np.float64" not in plain
 
 
 def test_wigner_point_holds_one_field_at_a_time(tmp_path):

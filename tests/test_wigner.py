@@ -627,3 +627,14 @@ def test_readme_contraction_shares_match_the_level_reach():
     sweep = np.mean([share(alpha) for alpha in np.linspace(1.0, 5.0, 40)])
     computed = [round(100 * s) for s in (share(1.0), share(5.0), sweep)]
     assert [float(v) for v in stated.groups()] == computed
+
+
+def test_fused_probability_of_a_state_does_not_depend_on_its_batch(
+        deep_spectrum, saddle_grid, momentum_grid, deep_params):
+    states = deep_spectrum.states
+    together = nonreactive_probabilities(states, saddle_grid, momentum_grid, deep_params)
+    alone = [nonreactive_probabilities([s], saddle_grid, momentum_grid, deep_params)[0]
+             for s in states]
+    reversed_ = nonreactive_probabilities(states[::-1], saddle_grid, momentum_grid, deep_params)
+    assert [p.hex() for p in together] == [p.hex() for p in alone]
+    assert [p.hex() for p in together] == [p.hex() for p in reversed_[::-1]]
