@@ -10,7 +10,7 @@ from .classical import (ModelParams, contour_points, depth, hamiltonian,
 from .discretize import DiscreteHamiltonian, SpatialGrid, assemble, make_grid
 from .eigensolve import EigenState, Spectrum, eigenvalue_residual, solve
 from .errors import ConfigurationError, NumericalError
-from .observables import ObservableRecord, moment, position_record, position_records, uncertainty
+from .observables import moment, position_records, uncertainty
 from .sweep import (
     SweepConfig,
     SweepPointError,
@@ -35,7 +35,7 @@ __all__ = [
     "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
     "EigenState", "Spectrum", "eigenvalue_residual", "solve",
     "ConfigurationError", "NumericalError",
-    "ObservableRecord", "moment", "position_record", "position_records", "uncertainty",
+    "moment", "position_records", "uncertainty",
     "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid", "load_wigner_grid",
     "run_sweep",
     "MomentumGrid", "WignerField", "make_momentum_grid", "marginal_x",

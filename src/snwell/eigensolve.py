@@ -35,6 +35,7 @@ __all__ = ["EigenState", "Spectrum", "solve", "eigenvalue_residual"]
 
 RESIDUAL_RTOL = 1e-8
 CLUSTER_RTOL = 1e-9
+NORMALIZATION_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,14 @@ def _max_residual(h: DiscreteHamiltonian, interior: np.ndarray,
     """max|H psi - E psi| over the interior points, for one vector and its
     energy, or for each column of a block and its entry of an energy array."""
     return np.max(np.abs(h.apply(interior) - energy * interior), axis=0)
+
+
+def _check_normalized(density: np.ndarray, dx: float) -> None:
+    """ValueError unless each row of psi^2 has sum(psi^2) dx = 1 to NORMALIZATION_ATOL."""
+    norms = np.sum(density, axis=1) * dx
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORMALIZATION_ATOL))  # a NaN fails too
+    if off.size:
+        raise ValueError(f"state is not normalized on this grid (sum psi^2 dx = {norms[off[0]]})")
 
 
 def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
@@ -128,7 +137,5 @@ def eigenvalue_residual(h: DiscreteHamiltonian, s: EigenState) -> float:
         raise ValueError(
             f"state has {s.values.size} values but the grid has {h.grid.n_points} points"
         )
-    quad = float(np.sum(s.values**2)) * h.grid.dx
-    if abs(quad - 1.0) > 1e-6:
-        raise ValueError(f"state is not grid-normalized (sum psi^2 dx = {quad})")
+    _check_normalized(s.values[None] ** 2, h.grid.dx)
     return float(_max_residual(h, s.values[1:-1], s.energy))

@@ -3,60 +3,50 @@
 Quadrature is the plain Riemann sum sum(psi^2 x^k) dx, matching the
 eigensolver's normalization identity exactly; a higher-order rule would
 break sum(psi^2) dx == 1.  Boundary points carry psi = 0 and contribute
-nothing, so sums run over the full grid.
+nothing, so sums run over the full grid.  Every sum is one expression over
+the rows psi^2 of the states (_moments), so the two arrays of position_records
+are bit for bit the one-state moment and uncertainty.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import SpatialGrid
-from .eigensolve import EigenState
+from .eigensolve import EigenState, _check_normalized
 from .errors import NumericalError
 
-__all__ = ["ObservableRecord", "moment", "uncertainty", "position_record", "position_records"]
+__all__ = ["moment", "uncertainty", "position_records"]
 
-NORMALIZATION_ATOL = 1e-6
 VARIANCE_FLOOR = -1e-12
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    state_index: int
-    mean_x: float
-    sigma_x: float
-
-
-def _densities(states: Sequence[EigenState], grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """psi^2 of each state, one row each, and the norms sum(psi^2) dx, which
-    must be 1 to NORMALIZATION_ATOL (the first state off it is reported)."""
+def _densities(states: Sequence[EigenState], grid: SpatialGrid) -> np.ndarray:
+    """psi^2 of each normalized state (see _check_normalized), one row each."""
     density = np.array([state.values for state in states])
     density *= density
-    norms = np.sum(density, axis=1) * grid.dx
-    off = np.flatnonzero(np.abs(norms - 1.0) > NORMALIZATION_ATOL)
-    if off.size:
-        raise ValueError(
-            f"state is not normalized on this grid (sum psi^2 dx = {norms[off[0]]})"
-        )
-    return density, norms
+    _check_normalized(density, grid.dx)
+    return density
+
+
+def _moments(density: np.ndarray, grid: SpatialGrid, power: int) -> np.ndarray:
+    """sum(psi^2 x^power) dx of each row of density."""
+    return np.sum(density * grid.points**power, axis=1) * grid.dx
 
 
 def moment(state: EigenState, grid: SpatialGrid, power: int) -> float:
     """<x^power> = sum(psi^2 x^power) dx for a grid-normalized real state."""
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
-    density, norms = _densities([state], grid)
-    if power == 0:
-        return float(norms[0])
-    return float(np.sum(density[0] * grid.points**power)) * grid.dx
+    return float(_moments(_densities([state], grid), grid, power)[0])
 
 
-def position_records(states: Sequence[EigenState], grid: SpatialGrid) -> list[ObservableRecord]:
-    """<x> and the spread sqrt(<x^2> - <x>^2) of each state, in one array pass
-    over all of them; tiny negative variances clamp to 0.
+def position_records(states: Sequence[EigenState],
+                     grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """<x> and the spread sqrt(<x^2> - <x>^2) of each state, as two float64
+    arrays in the order of the states; tiny negative variances clamp to 0.
 
     The sums are those of moment(state, grid, 1) and moment(state, grid, 2),
     bit for bit.  A state off the normalization raises ValueError, and one
@@ -64,11 +54,10 @@ def position_records(states: Sequence[EigenState], grid: SpatialGrid) -> list[Ob
     index; all states are checked for the first before any for the second.
     """
     if not states:
-        return []
-    density, _ = _densities(states, grid)
-    m1 = np.sum(density * grid.points, axis=1) * grid.dx
-    m2 = np.sum(density * grid.points**2, axis=1) * grid.dx
-    variance = m2 - m1 * m1
+        return np.empty(0), np.empty(0)
+    density = _densities(states, grid)
+    mean = _moments(density, grid, 1)
+    variance = _moments(density, grid, 2) - mean * mean
     negative = np.flatnonzero(variance < VARIANCE_FLOOR)
     if negative.size:
         i = int(negative[0])
@@ -76,18 +65,9 @@ def position_records(states: Sequence[EigenState], grid: SpatialGrid) -> list[Ob
             f"variance {variance[i]} is negative beyond rounding", state_index=states[i].index
         )
     # max(variance, 0.0) as Python takes it: np.maximum would make a -0.0 variance +0.0
-    sigma = np.sqrt(np.where(variance < 0.0, 0.0, variance))
-    return [
-        ObservableRecord(state_index=state.index, mean_x=mean, sigma_x=spread)
-        for state, mean, spread in zip(states, m1.tolist(), sigma.tolist())
-    ]
-
-
-def position_record(state: EigenState, grid: SpatialGrid) -> ObservableRecord:
-    """position_records of one state."""
-    return position_records([state], grid)[0]
+    return mean, np.sqrt(np.where(variance < 0.0, 0.0, variance))
 
 
 def uncertainty(state: EigenState, grid: SpatialGrid) -> float:
     """Position spread sqrt(<x^2> - <x>^2); tiny negative variances clamp to 0."""
-    return position_record(state, grid).sigma_x
+    return float(position_records([state], grid)[1][0])

@@ -209,17 +209,14 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
     tag = _fmt(alpha)
     records, written = [], []
     try:
+        probs = means = sigmas = [math.nan] * len(states)
         # without Wigner files the probabilities come straight from the
         # correlation matrices; with them, from the fields as emit_wigner_grid does
         if want_prob and not want_wigner:
             probs = nonreactive_probabilities(states, grid, pgrid, params)
-        else:
-            probs = [math.nan] * len(states)
         if "observables" in cfg.outputs:
-            positions = [(r.mean_x, r.sigma_x) for r in position_records(states, grid)]
-        else:
-            positions = [(math.nan, math.nan)] * len(states)
-        for state, prob, (mean_x, sigma_x) in zip(states, probs, positions):
+            means, sigmas = (moments.tolist() for moments in position_records(states, grid))
+        for state, prob, mean_x, sigma_x in zip(states, probs, means, sigmas):
             if want_wigner:
                 w = wigner_transform(state, grid, pgrid, params)
                 if want_prob:

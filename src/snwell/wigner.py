@@ -70,7 +70,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import ModelParams, potential
 from .discretize import SpatialGrid, uniform_points
@@ -252,15 +252,16 @@ def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     a quasiprobability integral on a finite window, the result can fall
     slightly outside [0, 1] and is reported as computed.
     """
-    reach = _level_reach(w.spatial_grid, w.momentum_grid, params)
-    inside = np.where(_levels(w.momentum_grid)[1] < reach[:, None], w.values, 0.0)
+    levels, columns, _ = _levels(w.momentum_grid)
+    reach = _level_reach(w.spatial_grid, levels, params)
+    inside = np.where(columns < reach[:, None], w.values, 0.0)
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
 
-def _level_reach(xg: SpatialGrid, pg: MomentumGrid, params: ModelParams) -> np.ndarray:
-    """reach[j]: the number of momentum levels (see _levels) in row j's region
-    H(x_j, p_k) <= 0: the region is exactly the cells whose |p_k| is one of
-    the first reach[j] levels.
+def _level_reach(xg: SpatialGrid, levels: np.ndarray, params: ModelParams) -> np.ndarray:
+    """reach[j]: the number of the ascending momentum levels (the q of
+    _levels) in row j's region H(x_j, p_k) <= 0: the region is exactly the
+    cells whose |p_k| is one of the first reach[j] levels.
 
     H(x_j, p_k) is the rounded sum f_k + V_j, f_k = p_k**2 / 2m; a rounded
     sum is <= 0 exactly when the exact one is, so the cell test is
@@ -269,7 +270,7 @@ def _level_reach(xg: SpatialGrid, pg: MomentumGrid, params: ModelParams) -> np.n
     finds the row's levels.  An overflowed H (NaN or +inf) is never <= 0: the
     bisection runs over the finite f only, and fmax reads a NaN -V_j as -1.
     """
-    kinetic = _levels(pg)[0] ** 2 / (2.0 * params.mass)
+    kinetic = levels**2 / (2.0 * params.mass)
     bound = np.fmax(-potential(params, xg.points), -1.0)
     return np.searchsorted(kinetic[np.isfinite(kinetic)], bound, side="right")
 
@@ -299,7 +300,7 @@ def nonreactive_probabilities(
         return []
     for state in states:
         _check_state(state, xg)
-    reach = _level_reach(xg, pg, params)
+    reach = _level_reach(xg, _levels(pg)[0], params)
     allowed = np.flatnonzero(reach)
     if allowed.size == 0:
         return [0.0] * len(states)
@@ -310,30 +311,29 @@ def nonreactive_probabilities(
     # the prefix column of row j's region sums; the rows from stop on read
     # column 0, so their region sums are exact zeros
     column = np.concatenate((reach[:stop], np.zeros(lmax, reach.dtype)))
+    hankel = sliding_window_view(column, stop)  # hankel[l, a] = column[a + l]
     row_starts = (np.arange(lmax + 1) * prefix.shape[1])[:, None]
     # padded[s, m] = psi_s(x_m), zero beyond the window
     padded = np.zeros((len(states), n + 2 * lmax))
     padded[:, :n] = [state.values for state in states]
+    # far[s, l, a] = psi_s(x_a + 2 l dx)
+    far = sliding_window_view(padded, stop, axis=1)[:, ::2]
     inner = np.empty((len(states), stop))
     size = max(_BLOCK_DOUBLES, lmax + 1)
     index, g_buffer = np.empty(size, dtype=np.intp), np.empty(size)
-    step, istep = padded.itemsize, index.itemsize
     a0 = 0
     while a0 < stop:
         rows = min(stop - a0, (n - 1 - a0) // 2 + 1)
         width = min(max(1, _BLOCK_DOUBLES // rows), stop - a0)
-        shape = (rows, width)
         # g[l, a] = G[l, a0 + a] = prefix[l, column[j]], j = a0 + a + l < stop + lmax;
         # the indices are in range by construction, and mode="clip" lets
         # take write straight into its output buffer
-        i, g = index[: rows * width].reshape(shape), g_buffer[: rows * width].reshape(shape)
-        hankel = (istep, istep)  # [l, a] -> entry a0 + a + l
-        np.add(row_starts[:rows], as_strided(column[a0:], shape, hankel, writeable=False), out=i)
+        i = index[: rows * width].reshape(rows, width)
+        g = g_buffer[: rows * width].reshape(rows, width)
+        np.add(row_starts[:rows], hankel[:rows, a0 : a0 + width], out=i)
         np.take(prefix, i, out=g, mode="clip")
-        # far[s, l, a] = psi_s(x_(a0 + a) + 2 l dx)
-        far = as_strided(padded[:, a0:], (len(states), rows, width),
-                         (padded.strides[0], 2 * step, step), writeable=False)
-        np.einsum("la,sla->sa", g, far, out=inner[:, a0 : a0 + width])
+        np.einsum("la,sla->sa", g, far[:, :rows, a0 : a0 + width],
+                  out=inner[:, a0 : a0 + width])
         a0 += width
     scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
     # one dot per state: numpy sums one einsum over all states in another

@@ -147,10 +147,9 @@ def test_residual_rejects_mismatched_and_unnormalized(saddle_grid, deep_params, 
     good = deep_spectrum.states[0]
     with pytest.raises(ValueError):
         eigenvalue_residual(h, EigenState(index=0, energy=1.0, values=np.zeros(7)))
-    with pytest.raises(ValueError):
-        eigenvalue_residual(
-            h, EigenState(index=0, energy=good.energy, values=2.0 * good.values)
-        )
+    for values in (2.0 * good.values, np.full_like(good.values, np.nan)):
+        with pytest.raises(ValueError, match="not normalized"):
+            eigenvalue_residual(h, EigenState(index=0, energy=good.energy, values=values))
     with pytest.raises(ValueError):
         eigenvalue_residual(
             h, EigenState(index=0, energy=0.0, values=np.zeros(saddle_grid.n_points))

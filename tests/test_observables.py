@@ -9,7 +9,6 @@ from snwell import (
     assemble,
     make_grid,
     moment,
-    position_record,
     position_records,
     solve,
     uncertainty,
@@ -28,6 +27,9 @@ def shifted_harmonic():
 def test_zeroth_moment_is_normalization(deep_spectrum, saddle_grid):
     for st in deep_spectrum.states:
         assert moment(st, saddle_grid, 0) == pytest.approx(1.0, abs=1e-6)
+        # x**0 is exactly 1, so the zeroth moment is the norm sum itself, bit for bit
+        norm = float(np.sum(st.values * st.values)) * saddle_grid.dx
+        assert moment(st, saddle_grid, 0).hex() == norm.hex()
 
 
 def test_shifted_well_means_sit_at_the_centre(shifted_harmonic):
@@ -90,26 +92,28 @@ def test_widths_flatten_in_the_deep_limit(saddle_grid):
 
 
 def test_variance_never_negative(deep_spectrum, saddle_grid):
-    for st in deep_spectrum.states:
-        rec = position_record(st, saddle_grid)
-        assert moment(st, saddle_grid, 2) >= rec.mean_x**2 - 1e-12
-        assert rec.sigma_x >= 0.0
+    means, sigmas = position_records(deep_spectrum.states, saddle_grid)
+    for st, mean, sigma in zip(deep_spectrum.states, means, sigmas, strict=True):
+        assert moment(st, saddle_grid, 2) >= mean**2 - 1e-12
+        assert sigma >= 0.0
 
 
-def test_position_record_consistent_with_moments(deep_spectrum, saddle_grid):
+def test_position_records_consistent_with_moments(deep_spectrum, saddle_grid):
     st = deep_spectrum.states[1]
-    rec = position_record(st, saddle_grid)
+    means, sigmas = position_records(deep_spectrum.states, saddle_grid)
     m1, m2 = moment(st, saddle_grid, 1), moment(st, saddle_grid, 2)
-    assert rec.state_index == 1
-    assert rec.mean_x == m1
-    assert rec.sigma_x == np.sqrt(m2 - m1 * m1)
-    assert rec.sigma_x == uncertainty(st, saddle_grid)
+    assert means[1] == m1
+    assert sigmas[1] == np.sqrt(m2 - m1 * m1)
+    assert sigmas[1] == uncertainty(st, saddle_grid) == position_records([st], saddle_grid)[1][0]
 
 
 def test_unnormalized_state_rejected(deep_spectrum, saddle_grid):
     bad = EigenState(index=0, energy=0.0, values=2.0 * deep_spectrum.states[0].values)
     with pytest.raises(ValueError):
         moment(bad, saddle_grid, 1)
+    nan = EigenState(index=0, energy=0.0, values=np.full(saddle_grid.n_points, np.nan))
+    with pytest.raises(ValueError, match="not normalized"):
+        position_records([nan], saddle_grid)
 
 
 def test_negative_power_rejected(deep_spectrum, saddle_grid):
@@ -127,18 +131,20 @@ def test_position_records_equal_the_moments_bitwise(n):
         values[1:-1] = rng.standard_normal(n - 2) * rng.uniform(0.1, 10.0)
         values /= math.sqrt(float(np.sum(values**2)) * grid.dx)
         states.append(EigenState(index=i, energy=0.0, values=values))
-    records = position_records(states, grid)
-    for state, rec in zip(states, records, strict=True):
+    means, sigmas = position_records(states, grid)
+    assert means.dtype == sigmas.dtype == np.float64
+    for state, mean, sigma in zip(states, means.tolist(), sigmas.tolist(), strict=True):
         m1, m2 = moment(state, grid, 1), moment(state, grid, 2)
         # the one-state sums, written out
         density = state.values * state.values
         assert m1.hex() == (float(np.sum(density * grid.points)) * grid.dx).hex()
         assert m2.hex() == (float(np.sum(density * grid.points**2)) * grid.dx).hex()
-        assert rec.state_index == state.index
-        assert rec.mean_x.hex() == m1.hex()
-        assert rec.sigma_x.hex() == math.sqrt(max(m2 - m1 * m1, 0.0)).hex()
-        assert position_record(state, grid) == position_records([state], grid)[0] == rec
-    assert position_records([], grid) == []
+        assert mean.hex() == m1.hex()
+        assert sigma.hex() == math.sqrt(max(m2 - m1 * m1, 0.0)).hex()
+        assert uncertainty(state, grid).hex() == sigma.hex()
+    means, sigmas = position_records([], grid)
+    for empty in (means, sigmas):
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 def test_position_records_reject_an_unnormalized_state(deep_spectrum, saddle_grid):

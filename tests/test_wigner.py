@@ -236,7 +236,8 @@ def assert_paths_agree(fused, state, xg, pg, params):
     difference scales with the size of the terms, not with 1."""
     w = wigner_transform(state, xg, pg, params)
     field = nonreactive_probability(w, params)
-    region = _levels(pg)[1] < _level_reach(xg, pg, params)[:, None]
+    levels, columns, _ = _levels(pg)
+    region = columns < _level_reach(xg, levels, params)[:, None]
     scale = float(np.sum(np.abs(w.values[region]))) * xg.dx * pg.dp
     assert abs(fused - field) <= 1e-14 * max(1.0, scale), (state.index, fused - field, scale)
 
@@ -255,7 +256,7 @@ def test_fused_probabilities_match_field_path(n, window):
     pg = MOMENTUM_WINDOWS[window](n)
     for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
         params = ModelParams(4.0, alpha)
-        stop = np.flatnonzero(_level_reach(grid, pg, params))[-1] + 1
+        stop = np.flatnonzero(_level_reach(grid, _levels(pg)[0], params))[-1] + 1
         if alpha == 0.5:  # V < 0 on the whole window: every row and offset is kept
             assert stop == n
         if alpha == 5.0:  # V <= 0 only up to x = 1.2: the offsets are trimmed too
@@ -272,7 +273,7 @@ def test_fused_probabilities_without_allowed_rows_are_zero(alpha):
     grid = make_grid(-1.0, 9.0, 149)
     pg = make_momentum_grid(5.0, 6.0, 149)
     params = ModelParams(4.0, alpha)
-    assert not _level_reach(grid, pg, params).any()
+    assert not _level_reach(grid, _levels(pg)[0], params).any()
     states = solve(assemble(params, grid), 3).states
     fused = nonreactive_probabilities(states, grid, pg, params)
     field = [
@@ -341,10 +342,10 @@ def test_momentum_symmetry_is_bitwise(alpha, n, pg):
 def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, pg):
     params = ModelParams(mu, alpha, mass=mass)
     xg = make_grid(a, a + width, n)
+    levels, columns, counts = _levels(pg)
     with np.errstate(over="ignore", invalid="ignore"):
         inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
-        reach = _level_reach(xg, pg, params)
-    levels, columns, counts = _levels(pg)
+        reach = _level_reach(xg, levels, params)
     assert np.all(np.diff(levels) > 0) and set(counts.tolist()) <= {1, 2}
     np.testing.assert_array_equal(levels[columns], np.abs(pg.points))
     cells = np.concatenate(([0], np.cumsum(counts)))  # cells[r] = sum(counts[:r])
@@ -419,7 +420,7 @@ def test_fused_probabilities_grid_mismatch_rejected(deep_spectrum, momentum_grid
 def unblocked_probabilities(states, xg, pg, params):
     """The sheared sum of the module docstring over every a, l < stop in one
     piece, each sum over l taken term by term from l = 0 upward."""
-    reach = _level_reach(xg, pg, params)
+    reach = _level_reach(xg, _levels(pg)[0], params)
     stop = int(np.flatnonzero(reach)[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
@@ -458,7 +459,7 @@ def test_blocked_probabilities_equal_the_unblocked_sum_bitwise(monkeypatch, alph
     pg = make_momentum_grid(-6.0, 6.0, 149)
     params = ModelParams(4.0, alpha)
     states = solve(assemble(params, grid), 5).states
-    stop = np.flatnonzero(_level_reach(grid, pg, params))[-1] + 1
+    stop = np.flatnonzero(_level_reach(grid, _levels(pg)[0], params))[-1] + 1
     first_rows = min(stop, (grid.n_points - 1) // 2 + 1)  # the offsets of the first block
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", first_rows * BLOCK_WIDTHS[blocks](stop))
     assert nonreactive_probabilities(states, grid, pg, params) == unblocked_probabilities(
@@ -616,12 +617,12 @@ def test_readme_contraction_shares_match_the_level_reach():
     stated = re.search(r"covers ([\d.]+) % of the\s+N \(L\+1\) table at alpha = 1, ([\d.]+) % at "
                        r"alpha = 5 and ([\d.]+) % over the 40-point\s+sweep", readme)
     n = 599
-    xg, pg = make_grid(-1.0, 9.0, n), make_momentum_grid(-6.0, 6.0, n)
+    xg, levels = make_grid(-1.0, 9.0, n), _levels(make_momentum_grid(-6.0, 6.0, n))[0]
     a, l = np.arange(n)[:, None], np.arange((n - 1) // 2 + 1)[None, :]
 
     def share(alpha):
         """The terms (a, l) with a + l < stop and a + 2l < N, over N (L + 1)."""
-        stop = np.flatnonzero(_level_reach(xg, pg, ModelParams(4.0, alpha)))[-1] + 1
+        stop = np.flatnonzero(_level_reach(xg, levels, ModelParams(4.0, alpha)))[-1] + 1
         return np.count_nonzero((a + l < stop) & (a + 2 * l < n)) / (a.size * l.size)
 
     sweep = np.mean([share(alpha) for alpha in np.linspace(1.0, 5.0, 40)])
