@@ -11,13 +11,14 @@ the interpreter lock is released: in the LAPACK calls (made through ctypes)
 and the probability kernel's np.take.  The kernel's einsum contraction, the
 Wigner text formatting and numpy calls on small arrays hold it, so the
 solve's checks, the position moments and the probability kernel each take
-all of a point's states in one array pass.  The
-probability kernel works in fixed-size blocks, so memory grows with the
-threads in use, not with the number of points.  A point writes its files
-in one pass (each line by line to a temporary file moved into place): each
-Wigner file as soon as its field is built, the field then dropped, and the
-spectrum and contour files after the last state; it keeps only its
-records, and records.csv is written last.  A failed point, a failed
+all of a point's states in one array pass.  The probability kernel works
+in fixed-size blocks, and each thread keeps its one pair of block buffers
+and reuses it from point to point, so memory grows with the threads in
+use, not with the number of points.  A point writes its files in one pass
+(each line by line to a temporary file moved into place): each Wigner file
+as soon as its field is built, the field then dropped, and the spectrum
+and contour files after the last state; it keeps only its records, and
+records.csv is written last.  A failed point, a failed
 computation or write included, leaves none of its files; with fail_fast,
 finished points keep theirs and records.csv is not written.  No
 file depends on the order points finish in, so serial and parallel runs of

@@ -45,7 +45,8 @@ alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from T in blocks of
 consecutive left points a, a block's arrays holding about _BLOCK_DOUBLES
 (2^15) entries so that it stays in L2 cache, and every state is contracted
 against each block in one einsum with stride-2 views of the stacked psi: no
-BLAS call, no correlation matrix and no array larger than one block.  Each
+BLAS call, no correlation matrix and no array larger than one block; each
+thread keeps its two block buffers from call to call.  Each
 sum over l runs from l = 0 upward whatever the block size, so the blocks do
 not change a bit.  Probability-only sweeps never build a field; their values
 agree with nonreactive_probability(wigner_transform(...)) to 1e-14 max(1, S),
@@ -55,10 +56,11 @@ Only nonreactive_probabilities reads a cached phase table: the level prefix
 table T (see _build_prefix_table), (L + 1) x (number of levels + 1)
 doubles, so (L + 1) x (ceil(n_p / 2) + 1) on a mirrored momentum grid,
 2.9 MB at N = n_p = 1201, built once per (x grid, p grid, hbar) in row
-blocks and shared by concurrent sweep points.  wigner_transform computes its
-(L + 1) x (number of levels) cosines on each call, 7 % of its time at
-N = 599 and 17 % at N = 2401, so a Wigner sweep, which takes its
-probabilities from the fields, holds no table.
+blocks and shared by concurrent sweep points, together with the ascending
+levels it is built over, so the fused path does no np.unique of its own.
+wigner_transform computes its (L + 1) x (number of levels) cosines on each
+call, 7 % of its time at N = 599 and 17 % at N = 2401, so a Wigner sweep,
+which takes its probabilities from the fields, holds no table.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ class WignerField:
 
 
 _kernel_lock = threading.Lock()
+# each thread's nonreactive_probabilities block buffers, freed when it exits
+_blocks = threading.local()
 
 # entries in each block of the prefix table's build and of
 # nonreactive_probabilities' work arrays: 256 KB of doubles, so that a block
@@ -146,18 +150,21 @@ def _levels(pg: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.unique(np.abs(pg.points), return_inverse=True, return_counts=True)
 
 
-def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """The cached prefix table; sweep points that start together wait for one build."""
+def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cached levels and prefix table; sweep points that start together wait for one build."""
     with _kernel_lock:
         return _build_prefix_table(xg, pg, hbar)
 
 
 @functools.lru_cache(maxsize=4)
-def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """prefix[l, r] = c_l times the sum over the levels i < r of
-    m_i cos(eta_l q_i / hbar) (see _levels), (L + 1) x (len(q) + 1), with the
+def _build_prefix_table(
+    xg: SpatialGrid, pg: MomentumGrid, hbar: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """levels, prefix: the ascending momentum levels q (see _levels) and
+    prefix[l, r] = c_l times the sum over the levels i < r of
+    m_i cos(eta_l q_i / hbar), (L + 1) x (len(q) + 1), with the
     correlation weights c_0 = 1, c_l = 2 folded in (exact, as is m_i);
-    read-only, so concurrent sweep points can share it.
+    both read-only, so concurrent sweep points can share them.
 
     Built in blocks of rows of about _BLOCK_DOUBLES entries: each block's
     cosines go into a scratch array, which is weighted straight into the
@@ -175,8 +182,9 @@ def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.nd
         np.multiply(_cos_rows(eta[l0 : l0 + rows], levels, hbar), counts, out=block)
         np.cumsum(block, axis=1, out=block)
         prefix[max(l0, 1) : l0 + rows] *= 2.0
+    levels.flags.writeable = False
     prefix.flags.writeable = False
-    return prefix
+    return levels, prefix
 
 
 def _correlation_matrix(psi: np.ndarray) -> np.ndarray:
@@ -291,7 +299,9 @@ def nonreactive_probabilities(
     zero-padded psi, then takes one length-stop dot: no BLAS call and no
     correlation matrix.  Each sum over l runs in ascending order from l = 0
     and the terms left out are exact zeros, so the result does not depend on
-    the block size.  With no region cell at all every probability is 0.0.
+    the block size.  The levels and the table are one cache entry, and the
+    block buffers this thread's, reused from call to call.  With no region
+    cell at all every probability is 0.0.
     Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
     max(1, S), S = sum |rho| dx dp over the region cells, not bitwise (the
     sums run in a different order, so the difference scales with the terms).
@@ -300,14 +310,14 @@ def nonreactive_probabilities(
         return []
     for state in states:
         _check_state(state, xg)
-    reach = _level_reach(xg, _levels(pg)[0], params)
+    levels, prefix = _prefix_table(xg, pg, params.hbar)
+    reach = _level_reach(xg, levels, params)
     allowed = np.flatnonzero(reach)
     if allowed.size == 0:
         return [0.0] * len(states)
     stop = int(allowed[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
-    prefix = _prefix_table(xg, pg, params.hbar)
     # the prefix column of row j's region sums; the rows from stop on read
     # column 0, so their region sums are exact zeros
     column = np.concatenate((reach[:stop], np.zeros(lmax, reach.dtype)))
@@ -319,8 +329,13 @@ def nonreactive_probabilities(
     # far[s, l, a] = psi_s(x_a + 2 l dx)
     far = sliding_window_view(padded, stop, axis=1)[:, ::2]
     inner = np.empty((len(states), stop))
+    # this thread's block buffers, kept from its earlier calls so that a call
+    # writes into pages it already holds; each block overwrites what it reads
     size = max(_BLOCK_DOUBLES, lmax + 1)
-    index, g_buffer = np.empty(size, dtype=np.intp), np.empty(size)
+    buffers = getattr(_blocks, "buffers", None)
+    if buffers is None or buffers[1].size < size:
+        buffers = _blocks.buffers = (np.empty(size, dtype=np.intp), np.empty(size))
+    index, g_buffer = buffers
     a0 = 0
     while a0 < stop:
         rows = min(stop - a0, (n - 1 - a0) // 2 + 1)

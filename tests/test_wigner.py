@@ -1,15 +1,23 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from snwell import (
     ConfigurationError,
@@ -424,7 +432,7 @@ def unblocked_probabilities(states, xg, pg, params):
     stop = int(np.flatnonzero(reach)[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
-    prefix = _prefix_table(xg, pg, params.hbar)
+    prefix = _prefix_table(xg, pg, params.hbar)[1]
     region = np.zeros((lmax + 1, stop + lmax))  # region[l, j] = G[l, j - l]
     for l in range(lmax + 1):
         region[l, :stop] = prefix[l, reach[:stop]]
@@ -467,27 +475,123 @@ def test_blocked_probabilities_equal_the_unblocked_sum_bitwise(monkeypatch, alph
     )
 
 
+def probability_problem(n, alpha=1.0):
+    """Five solved states of the mu = 4 well on the standard N-point windows."""
+    grid = make_grid(-1.0, 9.0, n)
+    pg = make_momentum_grid(-6.0, 6.0, n)
+    params = ModelParams(4.0, alpha)
+    return solve(assemble(params, grid), 5).states, grid, pg, params
+
+
+def on_a_fresh_thread(function, *args):
+    """function(*args) on a new thread, which holds no block buffers yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(function, *args).result(timeout=60)
+
+
 def test_probability_kernel_memory_stays_within_its_blocks():
-    grid = make_grid(-1.0, 9.0, 1201)
-    pg = make_momentum_grid(-6.0, 6.0, 1201)
-    params = ModelParams(4.0, 1.0)
-    states = solve(assemble(params, grid), 5).states
-    nonreactive_probabilities(states, grid, pg, params)  # builds the cached 5.8 MB kernel
+    problem = probability_problem(1201)
+    nonreactive_probabilities(*problem)  # builds the cached 2.9 MB table
     tracemalloc.start()
     try:
-        nonreactive_probabilities(states, grid, pg, params)
+        # this thread's blocks are already held, so measure on a fresh one
+        on_a_fresh_thread(nonreactive_probabilities, *problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # two blocks of 2^15 entries plus O(N) vectors, 0.82 MB measured; an
     # (L + 1) x stop array is 4 MB, and a third block buffer 0.26 MB more
-    assert peak <= 0.9e6
+    assert 2 * 8 * 2**15 <= peak <= 0.9e6
+
+
+def test_reused_block_buffers_give_the_fresh_thread_bits(monkeypatch):
+    # 256 entries: the N = 601 call needs L + 1 = 301, so it grows the buffers,
+    # and the second N = 149 call reads into the larger ones it left behind
+    monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", 256)
+    problems = [probability_problem(149), probability_problem(601), probability_problem(149)]
+
+    def in_turn():
+        results, sizes = [], []
+        for problem in problems:
+            results.append(nonreactive_probabilities(*problem))
+            index, g_buffer = snwell.wigner._blocks.buffers
+            sizes.append(g_buffer.size)
+            # poison what the next call inherits: an entry it read unwritten would show
+            index.fill(np.iinfo(np.intp).max)
+            g_buffer.fill(np.nan)
+        return results, sizes
+
+    results, sizes = on_a_fresh_thread(in_turn)
+    assert sizes[0] < sizes[1] == sizes[2]
+    for problem, reused in zip(problems, results, strict=True):
+        fresh = on_a_fresh_thread(nonreactive_probabilities, *problem)
+        assert [p.hex() for p in reused] == [p.hex() for p in fresh]
+
+
+def test_concurrent_probabilities_equal_serial_bitwise():
+    # the 40 depth_curves points; np.take releases the interpreter lock, so
+    # the threads' blocks are filled at once
+    problems = [probability_problem(599, float(a)) for a in np.linspace(1.0, 5.0, 40)]
+    serial = [nonreactive_probabilities(*problem) for problem in problems]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                threaded = pool.map(lambda problem: nonreactive_probabilities(*problem),
+                                    problems, timeout=60)
+                for a, b in zip(serial, threaded, strict=True):
+                    assert [p.hex() for p in a] == [p.hex() for p in b]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fused_probabilities_read_the_levels_from_the_cache(monkeypatch):
+    problem = probability_problem(599, 2.0)
+    expected = nonreactive_probabilities(*problem)  # caches the levels with the table
+
+    def no_levels(pg):
+        raise AssertionError("the levels are recomputed")
+
+    monkeypatch.setattr(snwell.wigner, "_levels", no_levels)
+    assert [p.hex() for p in nonreactive_probabilities(*problem)] == [p.hex() for p in expected]
+    levels = _prefix_table(problem[1], problem[2], problem[3].hbar)[0]
+    assert not levels.flags.writeable
+
+
+# minor page faults per call of one thread's 20 calls after a warm-up
+FAULT_PROBE = """
+import resource
+from snwell import (ModelParams, assemble, make_grid, make_momentum_grid,
+                    nonreactive_probabilities, solve)
+grid, pg = make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599)
+params = ModelParams(4.0, 1.0)
+states = solve(assemble(params, grid), 5).states
+nonreactive_probabilities(states, grid, pg, params)
+before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+for _ in range(20):
+    nonreactive_probabilities(states, grid, pg, params)
+print((resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage")
+def test_probability_kernel_takes_no_fresh_pages():
+    # in a fresh process, before malloc raises its mmap and trim thresholds
+    # (as a test session's large arrays do), a new pair of 256 KB blocks per
+    # call took 112 or more minor faults
+    env = dict(os.environ, PYTHONPATH=str(Path(snwell.wigner.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 2.0
 
 
 def reference_tables(xg, pg, hbar):
     """The cosine and prefix tables built whole: the columns of both are the
     distinct |p_k|, ascending, and the prefix table weights each by its
-    number of cells.  Also the level of each momentum column."""
+    number of cells.  Also those levels and the level of each momentum
+    column."""
     eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
     cells = Counter(np.abs(pg.points).tolist())
     levels = np.array(sorted(cells))
@@ -498,7 +602,7 @@ def reference_tables(xg, pg, hbar):
     prefix[1:] *= 2.0
     rank = {q: i for i, q in enumerate(levels.tolist())}
     columns = np.array([rank[q] for q in np.abs(pg.points).tolist()])
-    return cos_table, prefix, columns
+    return cos_table, prefix, levels, columns
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.7])
@@ -507,7 +611,7 @@ def reference_tables(xg, pg, hbar):
 def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     xg = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
-    cos_table, prefix, columns = reference_tables(xg, pg, hbar)
+    cos_table, prefix, levels, columns = reference_tables(xg, pg, hbar)
     assert cos_table.shape == ((n - 1) // 2 + 1, np.unique(np.abs(pg.points)).size)
     # the transform's cosines are the table's, read through each column's level
     psi = np.random.default_rng(n).normal(size=n)
@@ -516,7 +620,9 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     expected = (prefactor * (_correlation_matrix(psi) @ cos_table))[:, columns]
     assert field.values.tobytes() == expected.tobytes()
     # a fresh build, not the cached one
-    assert _build_prefix_table.__wrapped__(xg, pg, hbar).tobytes() == prefix.tobytes()
+    built_levels, built_prefix = _build_prefix_table.__wrapped__(xg, pg, hbar)
+    assert built_prefix.tobytes() == prefix.tobytes()
+    assert built_levels.tobytes() == levels.tobytes()
 
 
 @pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
@@ -524,13 +630,14 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
 def test_prefix_table_has_a_column_per_level_plus_one(n, window):
     xg = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
-    prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+    levels, prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
     if window == "asymmetric":
         columns = len(set(np.abs(pg.points).tolist())) + 1
         assert pg.n_points // 2 + 1 < columns <= pg.n_points + 1
     else:
         columns = (pg.n_points + 1) // 2 + 1
     assert prefix.shape == ((n - 1) // 2 + 1, columns)
+    assert levels.shape == (columns - 1,)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 75])
@@ -538,15 +645,17 @@ def test_prefix_table_does_not_depend_on_the_row_blocks(monkeypatch, rows):
     # L + 1 = 75 rows of 75 levels: one row per block, a ragged last block, one block
     xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", rows * 75)
-    prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
-    assert prefix.tobytes() == reference_tables(xg, pg, 0.7)[1].tobytes()
+    levels, prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
+    _, expected_prefix, expected_levels, _ = reference_tables(xg, pg, 0.7)
+    assert prefix.tobytes() == expected_prefix.tobytes()
+    assert levels.tobytes() == expected_levels.tobytes()
 
 
 def test_prefix_table_builds_without_the_cosine_table():
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
     tracemalloc.start()
     try:
-        prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+        _, prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -556,11 +665,14 @@ def test_prefix_table_builds_without_the_cosine_table():
 
 def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
     same_grids = (make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599))
-    table = _prefix_table(saddle_grid, momentum_grid, 1.0)
-    assert _prefix_table(*same_grids, 1.0) is table
-    assert _prefix_table(saddle_grid, momentum_grid, 2.0) is not table
+    entry = _prefix_table(saddle_grid, momentum_grid, 1.0)
+    levels, table = entry
+    assert _prefix_table(*same_grids, 1.0) is entry
+    assert _prefix_table(saddle_grid, momentum_grid, 2.0)[1] is not table
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        levels[0] = 1.0
 
 
 def test_phase_kernel_built_once_by_concurrent_callers():
@@ -608,7 +720,7 @@ def test_readme_prefix_table_size_matches_the_build():
     stated = re.search(r"table of\s+cosine prefix sums.*?([\d.]+) MB at N = N_p = 1201", readme,
                        re.DOTALL)
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
-    built = _build_prefix_table.__wrapped__(xg, pg, 1.0).nbytes / 1e6
+    built = _build_prefix_table.__wrapped__(xg, pg, 1.0)[1].nbytes / 1e6
     assert abs(float(stated.group(1)) - built) <= 0.1
 
 
