@@ -8,7 +8,7 @@ of classically nonreactive behaviour, swept over the well-depth parameter.
 from .classical import (ModelParams, contour_points, depth, hamiltonian,
                         harmonic_energy_estimate, potential)
 from .discretize import DiscreteHamiltonian, SpatialGrid, assemble, make_grid
-from .eigensolve import EigenState, Spectrum, eigenvalue_residual, solve
+from .eigensolve import EigenState, Spectrum, solve
 from .errors import ConfigurationError, NumericalError
 from .observables import moment, position_records, uncertainty
 from .sweep import (
@@ -33,7 +33,7 @@ __all__ = [
     "ModelParams", "contour_points", "depth", "hamiltonian", "harmonic_energy_estimate",
     "potential",
     "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
-    "EigenState", "Spectrum", "eigenvalue_residual", "solve",
+    "EigenState", "Spectrum", "solve",
     "ConfigurationError", "NumericalError",
     "moment", "position_records", "uncertainty",
     "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid", "load_wigner_grid",

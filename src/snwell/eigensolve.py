@@ -17,7 +17,8 @@ consumer relies on:
   closer than 1e-9 max(|E|, 1), where no vector would be well defined, raise
   NumericalError instead of being returned,
 * every returned pair satisfies the residual bound
-  max|H psi - E psi| <= 1e-8 * scale(H), else NumericalError (a NaN fails it).
+  max|H psi - E psi| <= 1e-8 * scale(H), else NumericalError (a NaN fails it),
+  and carries the residual it was checked with.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .classical import ModelParams
 from .discretize import DiscreteHamiltonian, SpatialGrid
 from .errors import ConfigurationError, NumericalError
 
-__all__ = ["EigenState", "Spectrum", "solve", "eigenvalue_residual"]
+__all__ = ["EigenState", "Spectrum", "solve"]
 
 RESIDUAL_RTOL = 1e-8
 CLUSTER_RTOL = 1e-9
-NORMALIZATION_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,15 @@ class EigenState:
     boundary_amplitude is max(|psi|) over the first and last interior points;
     values that are not small signal a state leaning on the Dirichlet window
     (plane-wave-like behaviour at the box edge) rather than a converged bound
-    state.
+    state.  residual is max|H psi - E psi| over the interior points: the
+    number solve checked against the residual bound.
     """
 
     index: int
     energy: float
     values: np.ndarray = field(repr=False, compare=False)
     boundary_amplitude: float = 0.0
+    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -63,21 +65,6 @@ class Spectrum:
     @property
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.states])
-
-
-def _max_residual(h: DiscreteHamiltonian, interior: np.ndarray,
-                  energy: float | np.ndarray) -> np.ndarray:
-    """max|H psi - E psi| over the interior points, for one vector and its
-    energy, or for each column of a block and its entry of an energy array."""
-    return np.max(np.abs(h.apply(interior) - energy * interior), axis=0)
-
-
-def _check_normalized(density: np.ndarray, dx: float) -> None:
-    """ValueError unless each row of psi^2 has sum(psi^2) dx = 1 to NORMALIZATION_ATOL."""
-    norms = np.sum(density, axis=1) * dx
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORMALIZATION_ATOL))  # a NaN fails too
-    if off.size:
-        raise ValueError(f"state is not normalized on this grid (sum psi^2 dx = {norms[off[0]]})")
 
 
 def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
@@ -109,7 +96,7 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
     # sum of the vector alone, whatever layout the solver returned
     columns = np.ascontiguousarray(v.T)
     interior = columns / np.sqrt(np.sum(columns * columns, axis=1) * h.grid.dx)[:, None]
-    residuals = _max_residual(h, interior.T, w)
+    residuals = np.max(np.abs(h.apply(interior.T) - w * interior.T), axis=0)
     failed = np.flatnonzero(~(residuals <= RESIDUAL_RTOL * scale))  # a NaN fails too
     if failed.size:
         i = int(failed[0])
@@ -124,18 +111,11 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
     peak = values[np.arange(k), np.argmax(np.abs(values), axis=1)]
     np.negative(values, out=values, where=(peak < 0)[:, None])
     amplitudes = np.maximum(np.abs(values[:, 1]), np.abs(values[:, -2]))
+    per_state = zip(w.tolist(), amplitudes.tolist(), residuals.tolist())
     states = [
-        EigenState(index=i, energy=energy, values=values[i], boundary_amplitude=amplitude)
-        for i, (energy, amplitude) in enumerate(zip(w.tolist(), amplitudes.tolist()))
+        EigenState(index=i, energy=energy, values=values[i], boundary_amplitude=amplitude,
+                   residual=residual)
+        for i, (energy, amplitude, residual) in enumerate(per_state)
     ]
     return Spectrum(states=states, params=h.params, grid=h.grid)
 
-
-def eigenvalue_residual(h: DiscreteHamiltonian, s: EigenState) -> float:
-    """max|H psi - E psi| over the interior points of a solved state."""
-    if s.values.size != h.grid.n_points:
-        raise ValueError(
-            f"state has {s.values.size} values but the grid has {h.grid.n_points} points"
-        )
-    _check_normalized(s.values[None] ** 2, h.grid.dx)
-    return float(_max_residual(h, s.values[1:-1], s.energy))

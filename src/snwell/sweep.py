@@ -45,7 +45,7 @@ import logging
 import math
 import operator
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -286,47 +286,45 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         raise
 
 
+def _write_table(path: Path, title: str, fields: list[tuple[str, object]],
+                 columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """_header(title, fields), the comma-joined column names, then one line
+    per row: each value through float() as _fmt takes it, printed with %r,
+    and a state_index column with %d, as str() prints the index."""
+    row = ",".join("%d" if c == "state_index" else "%r" for c in columns)
+    lines = _header(title, fields) + [",".join(columns)]
+    _write_lines(path, itertools.chain(lines, (row % tuple(map(float, r)) for r in rows)))
+
+
 def _write_records(path: Path, cfg: SweepConfig, records: list[SweepRecord]) -> None:
-    lines = _header(
-        "snwell sweep records",
-        [
-            ("mu", cfg.mu),
-            ("hbar", cfg.hbar),
-            ("mass", cfg.mass),
-            ("domain", cfg.domain),
-            ("pdomain", cfg.momentum_domain),
-            ("n_points", str(cfg.n_points)),
-            ("n_states", str(cfg.n_states)),
-            ("alpha", cfg.alpha_values),
-            ("outputs", " ".join(sorted(cfg.outputs))),
-        ],
-    )
-    lines.append(",".join(RECORD_COLUMNS))
-    # every value through float() as _fmt takes it; %d prints the index as str() does
-    row = ",".join("%d" if c == "state_index" else "%r" for c in RECORD_COLUMNS)
-    values = operator.attrgetter(*RECORD_COLUMNS)
-    for r in sorted(records, key=lambda r: (r.alpha, r.state_index)):
-        lines.append(row % tuple(map(float, values(r))))
-    _write_lines(path, lines)
+    fields = [
+        ("mu", cfg.mu),
+        ("hbar", cfg.hbar),
+        ("mass", cfg.mass),
+        ("domain", cfg.domain),
+        ("pdomain", cfg.momentum_domain),
+        ("n_points", str(cfg.n_points)),
+        ("n_states", str(cfg.n_states)),
+        ("alpha", cfg.alpha_values),
+        ("outputs", " ".join(sorted(cfg.outputs))),
+    ]
+    ordered = sorted(records, key=lambda r: (r.alpha, r.state_index))
+    rows = map(operator.attrgetter(*RECORD_COLUMNS), ordered)
+    _write_table(path, "snwell sweep records", fields, RECORD_COLUMNS, rows)
 
 
 def _write_spectrum(path: Path, spectrum: Spectrum) -> None:
     energies = [(f"energy_{s.index}", s.energy) for s in spectrum.states]
-    lines = _header("snwell spectrum", _point_fields(spectrum) + energies)
-    lines.append("x," + ",".join(f"psi_{s.index}" for s in spectrum.states))
-    columns = [spectrum.grid.points] + [s.values for s in spectrum.states]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+    columns = ["x"] + [f"psi_{s.index}" for s in spectrum.states]
+    rows = zip(spectrum.grid.points.tolist(), *(s.values.tolist() for s in spectrum.states))
+    _write_table(path, "snwell spectrum", _point_fields(spectrum) + energies, columns, rows)
 
 
-def _write_contours(path: Path, spectrum: Spectrum, contours: list) -> None:
-    lines = _header("snwell classical level sets at e = E_n", _point_fields(spectrum))
-    lines.append("state_index,energy,x,p")
-    for state, pts in zip(spectrum.states, contours):
-        for x, p in pts:
-            lines.append(f"{state.index},{_fmt(state.energy)},{_fmt(x)},{_fmt(p)}")
-    _write_lines(path, lines)
+def _write_contours(path: Path, spectrum: Spectrum, contours: list[np.ndarray]) -> None:
+    rows = ((s.index, s.energy, x, p)
+            for s, pts in zip(spectrum.states, contours) for x, p in pts.tolist())
+    _write_table(path, "snwell classical level sets at e = E_n", _point_fields(spectrum),
+                 ("state_index", "energy", "x", "p"), rows)
 
 
 def emit_wigner_grid(w: WignerField, path) -> None:

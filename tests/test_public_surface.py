@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,16 @@ def test_package_exports_what_it_imports():
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     }
     assert sorted(bound) == sorted(snwell.__all__)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name to its own module; the foreign-code
+    # wrapper is imported whole (from . import _lapack), which stays allowed
+    private = []
+    for path in sorted(Path(snwell.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.level > 0 or node.module.split(".")[0] == "snwell"):
+                private += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []

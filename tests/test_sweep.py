@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import snwell._lapack
 import snwell.sweep
 from snwell import (
     ConfigurationError,
@@ -19,6 +20,8 @@ from snwell import (
     SweepConfig,
     SweepPointError,
     assemble,
+    contour_points,
+    depth,
     emit_wigner_grid,
     hamiltonian,
     load_wigner_grid,
@@ -27,6 +30,7 @@ from snwell import (
     moment,
     nonreactive_probabilities,
     nonreactive_probability,
+    position_records,
     run_sweep,
     solve,
     wigner_transform,
@@ -260,6 +264,56 @@ def test_contours_file_points_lie_on_level_sets(tmp_path):
     for row in rows:
         e, x, p = float(row[1]), float(row[2]), float(row[3])
         assert abs(hamiltonian(params, x, p) - e) <= 1e-9 * max(1.0, abs(e))
+
+
+def test_table_lines_print_each_value_by_the_round_trip_rule(tmp_path, monkeypatch):
+    # negate every other eigenvector, so that solve flips those states back and
+    # their endpoint zeros are -0.0, which a float comparison cannot tell from 0.0
+    real = snwell._lapack.lowest_eigenpairs
+
+    def negated(*args):
+        w, v = real(*args)
+        v = v.copy()
+        v[:, 1::2] *= -1.0
+        return w, v
+
+    monkeypatch.setattr(snwell._lapack, "lowest_eigenpairs", negated)
+    cfg = SweepConfig(
+        alpha_values=(2.0,),
+        outputs=frozenset({"spectrum", "contours", "observables"}),
+        output_dir=tmp_path,
+        threads=1,
+        n_points=149,
+        n_states=3,
+    )
+    run_sweep(cfg)
+    params = ModelParams(4.0, 2.0)
+    grid = make_grid(-1.0, 9.0, cfg.n_points)
+    states = solve(assemble(params, grid), cfg.n_states).states
+    means, sigmas = position_records(states, grid)
+
+    def body(name):
+        """The column line and the data lines of one output file."""
+        lines = (tmp_path / name).read_text().splitlines()
+        return [line for line in lines if not line.startswith("#")]
+
+    # the rule: str() for a state index, repr(float()) for every other value
+    assert body("records.csv") == [",".join(snwell.sweep.RECORD_COLUMNS)] + [
+        ",".join([repr(2.0), repr(float(depth(params))), str(s.index), repr(float(s.energy)),
+                  repr(float(mean)), repr(float(sigma)), "nan",
+                  repr(float(s.boundary_amplitude))])
+        for s, mean, sigma in zip(states, means, sigmas)
+    ]
+    spectrum = body("spectrum_2.0.csv")
+    assert spectrum == ["x,psi_0,psi_1,psi_2"] + [
+        ",".join(repr(float(v)) for v in row)
+        for row in zip(grid.points, *(s.values for s in states))
+    ]
+    assert spectrum[1].split(",")[1:] == ["0.0", "-0.0", "0.0"]
+    assert body("contours_2.0.csv") == ["state_index,energy,x,p"] + [
+        f"{s.index},{float(s.energy)!r},{float(x)!r},{float(p)!r}"
+        for s in states for x, p in contour_points(params, s.energy, grid)
+    ]
 
 
 def test_wigner_files_written_and_reload_exactly(tmp_path):
