@@ -5,8 +5,8 @@ observables, Wigner quasiprobability fields, and the phase-space probability
 of classically nonreactive behaviour, swept over the well-depth parameter.
 """
 
-from .classical import (ModelParams, contour_points, depth, hamiltonian,
-                        harmonic_energy_estimate, potential)
+from .classical import (ModelParams, contour_points, depth, harmonic_energy_estimate,
+                        potential)
 from .discretize import DiscreteHamiltonian, SpatialGrid, assemble, make_grid
 from .eigensolve import EigenState, Spectrum, solve
 from .errors import ConfigurationError, NumericalError
@@ -30,8 +30,7 @@ from .wigner import (
 )
 
 __all__ = [
-    "ModelParams", "contour_points", "depth", "hamiltonian", "harmonic_energy_estimate",
-    "potential",
+    "ModelParams", "contour_points", "depth", "harmonic_energy_estimate", "potential",
     "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
     "EigenState", "Spectrum", "solve",
     "ConfigurationError", "NumericalError",

@@ -37,8 +37,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "ModelParams", "potential", "hamiltonian", "depth", "harmonic_energy_estimate",
-    "contour_points",
+    "ModelParams", "potential", "depth", "harmonic_energy_estimate", "contour_points",
 ]
 
 # kinetic energies down to -TURNING_POINT_RTOL * max(1, |e|) count as turning
@@ -79,11 +78,6 @@ def potential(params: ModelParams, x):
     """V(x) = -sqrt(mu) x^2 + (alpha/3) x^3.  Accepts scalars or arrays."""
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
     return -math.sqrt(params.mu) * x**2 + (params.alpha / 3.0) * x**3
-
-
-def hamiltonian(params: ModelParams, x, p):
-    """Total energy p^2/(2m) + V(x).  Broadcasts over array arguments."""
-    return p**2 / (2.0 * params.mass) + potential(params, x)
 
 
 def depth(params: ModelParams) -> float:

@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fail-fast", action="store_true", default=None,
                         help="abort on the first failing sweep point")
     parser.add_argument("--threads", type=int, metavar="T",
-                        help="sweep points run at once on a thread pool (default: the "
-                        "CPUs this process may use, or 1 with wigner output); 1 runs "
-                        "them serially")
+                        help="sweep points run on a pool of min(T, points) threads "
+                        "(default: the CPUs this process may use, or 1 with wigner "
+                        "output); 1 is one worker taking the points in order")
     parser._negative_number_matcher = _NegativeFloat()
     return parser
 

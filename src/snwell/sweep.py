@@ -3,26 +3,27 @@
 One sweep point = one alpha value: assemble the matrix, solve the lowest
 n_states pairs, then (depending on the requested outputs) position
 observables, Wigner fields, the nonreactive probability, and classical
-contours at e = E_n.  Points are independent work items, computed on a
-thread pool of min(threads, points) workers, threads defaulting to the CPUs
-this process may run on, or to 1 when the sweep writes Wigner files;
-threads = 1 or a single point runs serially.  Workers overlap only where
-the interpreter lock is released: in the LAPACK calls (made through ctypes)
-and the probability kernel's np.take.  The kernel's einsum contraction, the
-Wigner text formatting and numpy calls on small arrays hold it, so the
-solve's checks, the position moments and the probability kernel each take
-all of a point's states in one array pass.  The probability kernel works
-in fixed-size blocks, and each thread keeps its one pair of block buffers
-and reuses it from point to point, so memory grows with the threads in
-use, not with the number of points.  A point writes its files in one pass
-(each line by line to a temporary file moved into place): each Wigner file
-as soon as its field is built, the field then dropped, and the spectrum
-and contour files after the last state; it keeps only its records, and
-records.csv is written last.  A failed point, a failed
-computation or write included, leaves none of its files; with fail_fast,
-finished points keep theirs and records.csv is not written.  No
-file depends on the order points finish in, so serial and parallel runs of
-the same config produce byte-identical trees.
+contours at e = E_n.  Points are independent work items, and every sweep
+computes them on a thread pool of min(threads, points) workers, threads
+defaulting to the CPUs this process may run on, or to 1 when the sweep
+writes Wigner files; one worker takes the points in order.  Workers
+overlap only where the interpreter lock is released: in the LAPACK calls
+(made through ctypes) and the probability kernel's np.take.  The kernel's
+einsum contraction, the Wigner text formatting and numpy calls on small
+arrays hold it, so the solve's checks, the position moments and the
+probability kernel each take all of a point's states in one array pass.
+The probability kernel works in fixed-size blocks, and each pool thread
+keeps its one pair of block buffers and reuses it from point to point, so
+memory grows with the threads in use, not with the number of points.  A
+point writes its files in one pass (each line by line to a temporary file
+moved into place): each Wigner file as soon as its field is built, the
+field then dropped, and the spectrum and contour files after the last
+state; it keeps only its records, and records.csv is written last.  A
+failed point, a failed computation or write included, leaves none of its
+files.  A fail_fast failure or an interrupt (Ctrl-C) starts no further
+point: the points in flight finish their files, and records.csv is not
+written.  No file depends on the order points finish in, so serial and
+parallel runs of the same config produce byte-identical trees.
 
 File formats (all plain text, all embedding the full parameter set as
 leading '# key = value' lines; floats are printed with repr round-trip
@@ -45,8 +46,9 @@ import logging
 import math
 import operator
 import os
+import threading
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -105,9 +107,10 @@ _DEFAULT_THREADS = object()
 class SweepConfig:
     """Everything one sweep run depends on.  Defaults are the standard setup:
     mu = 4, window [-1, 9] x [-6, 6], N = 599, five states, hbar = m = 1,
-    and one sweep point in flight per usable CPU, or one in all when the
-    sweep writes Wigner files: their text formatting holds the interpreter
-    lock, so a second worker adds a field in memory and no speed."""
+    and a pool of min(threads, points) workers, threads defaulting to the
+    usable CPUs, or to 1 when the sweep writes Wigner files: their text
+    formatting holds the interpreter lock, so a second worker adds a field
+    in memory and no speed."""
 
     mu: float = 4.0
     alpha_values: tuple[float, ...] = (1.0, 2.0, 5.0)
@@ -178,7 +181,8 @@ class PointFailure:
 
 
 class SweepPointError(RuntimeError):
-    """One or more sweep points failed; the other points' files were still written."""
+    """One or more sweep points failed; the other points' files were still
+    written, unless fail_fast stopped the sweep at the first failure."""
 
     def __init__(self, failures: list[PointFailure], records: list[SweepRecord]):
         lines = ", ".join(f"(alpha={f.alpha}, n={f.state_index}): {f.message}" for f in failures)
@@ -423,10 +427,13 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run every alpha point, write the requested files, return all records.
 
-    Point failures (a failed write included) are logged with their (alpha, n)
-    and do not stop the other points unless cfg.fail_fast; if any occurred, a
-    SweepPointError carrying the failure list (and the successful records) is
-    raised after the remaining points were computed and written.
+    Every point runs on a pool of min(cfg.threads, points) workers.  Point
+    failures (a failed write included) are logged with their (alpha, n) and
+    do not stop the other points unless cfg.fail_fast; if any occurred, a
+    SweepPointError carrying them in alpha order (and the successful records)
+    is raised after the remaining points were computed and written.  A
+    fail_fast failure or an interrupt starts no further point; its error
+    carries no records, and records.csv is not written.
     """
     grid = make_grid(cfg.domain[0], cfg.domain[1], cfg.n_points)
     pgrid = make_momentum_grid(cfg.momentum_domain[0], cfg.momentum_domain[1], cfg.n_points)
@@ -439,46 +446,45 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     n_points = len(cfg.alpha_values)
     results: list[list[SweepRecord]] = [[] for _ in range(n_points)]
     failures: list[PointFailure] = []
+    abort = threading.Event()  # once set, no further point starts
 
     def capture(i: int):
+        if abort.is_set():
+            return
         alpha = cfg.alpha_values[i]
         try:
             results[i] = _sweep_point(cfg, grid, pgrid, alpha, outdir)
         except Exception as exc:
-            failure = PointFailure(
-                alpha=alpha, state_index=getattr(exc, "state_index", None), message=str(exc)
-            )
             logger.error("sweep point alpha=%s failed: %s", alpha, exc)
-            failures.append(failure)
+            failures.append(PointFailure(
+                alpha=alpha, state_index=getattr(exc, "state_index", None), message=str(exc)
+            ))
             if cfg.fail_fast:
-                raise SweepPointError([failure], []) from exc
+                abort.set()
+        except BaseException:
+            abort.set()
+            raise
 
-    workers = min(cfg.threads, n_points)
-    if workers == 1:
-        for i in range(n_points):
-            capture(i)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            futures = [pool.submit(capture, i) for i in range(n_points)]
-            while True:
-                # wake now and then: Ctrl-C is only raised once the main
-                # thread runs, not while it sleeps until a point finishes
-                done, pending = wait(futures, _POLL_S, return_when=FIRST_EXCEPTION)
-                if not pending or any(fut.exception() for fut in done):
-                    break
-        finally:
-            # after a fail_fast abort or an interrupt (Ctrl-C), queued points
-            # never start; the points in flight finish their files
-            pool.shutdown(cancel_futures=True)
-        for fut in futures:
-            if not fut.cancelled():
-                fut.result()  # re-raises a fail_fast abort
+    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, n_points))
+    try:
+        futures = [pool.submit(capture, i) for i in range(n_points)]
+        # wake now and then: Ctrl-C is raised only while the main thread runs
+        while wait(futures, _POLL_S).not_done and not abort.is_set():
+            pass
+    finally:
+        # no point starts after this; the points in flight finish their files
+        abort.set()
+        pool.shutdown(cancel_futures=True)
+    for fut in futures:
+        if not fut.cancelled():
+            fut.result()  # re-raises a BaseException from a point
 
+    # threads finish in any order; report in the order the alphas were given
+    failures.sort(key=lambda f: cfg.alpha_values.index(f.alpha))
+    if failures and cfg.fail_fast:
+        raise SweepPointError(failures, [])
     records = [r for point in results for r in point]
     _write_records(outdir / "records.csv", cfg, records)
     if failures:
-        # threads finish in any order; report in the order the alphas were given
-        failures.sort(key=lambda f: cfg.alpha_values.index(f.alpha))
         raise SweepPointError(failures, records)
     return records

@@ -10,7 +10,6 @@ from snwell import (
     ModelParams,
     contour_points,
     depth,
-    hamiltonian,
     harmonic_energy_estimate,
     make_grid,
     potential,
@@ -33,14 +32,6 @@ def test_potential_accepts_arrays():
     p = ModelParams(4.0, 1.0)
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(potential(p, x), [potential(p, xi) for xi in x], rtol=1e-15)
-
-
-def test_hamiltonian_reference_points():
-    assert hamiltonian(ModelParams(4.0, 1.0), 0.0, 0.0) == 0.0
-    assert hamiltonian(ModelParams(4.0, 2.0), 2.0, 0.0) == pytest.approx(-8.0 / 3.0, rel=1e-14)
-    assert hamiltonian(ModelParams(4.0, 1.0), 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
-    # mass enters only the kinetic term
-    assert hamiltonian(ModelParams(4.0, 1.0, mass=2.0), 0.0, 2.0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +196,7 @@ def test_contour_points_lie_on_level_set(params, e):
     grid = make_grid(-2.0, 8.0, 97)
     pts = contour_points(params, e, grid)
     if pts.size:
-        h = hamiltonian(params, pts[:, 0], pts[:, 1])
+        h = pts[:, 1] ** 2 / (2.0 * params.mass) + potential(params, pts[:, 0])
         assert np.max(np.abs(h - e)) <= 1e-10 * max(1.0, abs(e)) + 1e-15
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import snwell._lapack
 import snwell.sweep
+import snwell.wigner
 from snwell import (
     ConfigurationError,
     ModelParams,
@@ -23,7 +24,6 @@ from snwell import (
     contour_points,
     depth,
     emit_wigner_grid,
-    hamiltonian,
     load_wigner_grid,
     make_grid,
     make_momentum_grid,
@@ -31,6 +31,7 @@ from snwell import (
     nonreactive_probabilities,
     nonreactive_probability,
     position_records,
+    potential,
     run_sweep,
     solve,
     wigner_transform,
@@ -113,8 +114,8 @@ def test_sweep_uses_a_pool_of_usable_cpus_by_default(tmp_path, monkeypatch):
         )
         assert cfg.threads == 4
         assert len(run_sweep(cfg)) == 2 * len(alphas)
-    # three points on four CPUs: three workers; a single point runs serially
-    assert pools == [3]
+    # three points on four CPUs: three workers; a single point: one
+    assert pools == [3, 1]
 
 
 def test_wigner_sweeps_default_to_one_worker(tmp_path, monkeypatch):
@@ -138,11 +139,12 @@ def test_wigner_sweeps_default_to_one_worker(tmp_path, monkeypatch):
     assert [cfg.threads for cfg in configs] == [1, 2, 4]
     for cfg in configs:
         run_sweep(cfg)
-    # the default Wigner sweep runs serially; an explicit 2 keeps its pool
-    assert pools == [2, 3]
+    # the default Wigner sweep runs on one worker; an explicit 2 gets two
+    assert pools == [1, 2, 3]
 
 
-def test_interrupted_pooled_sweep_starts_no_further_point(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads={t}")
+def test_interrupted_sweep_starts_no_further_point(tmp_path, monkeypatch, threads):
     started = []
     waiting = threading.Event()
     real_solve, real_wait = snwell.sweep.solve, snwell.sweep.wait
@@ -165,7 +167,7 @@ def test_interrupted_pooled_sweep_starts_no_further_point(tmp_path, monkeypatch)
         alpha_values=tuple(1.0 + 0.5 * i for i in range(8)),
         outputs=frozenset({"observables"}),
         output_dir=tmp_path,
-        threads=2,
+        threads=threads,
         **SMALL,
     )
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
@@ -175,8 +177,25 @@ def test_interrupted_pooled_sweep_starts_no_further_point(tmp_path, monkeypatch)
     finally:
         signal.signal(signal.SIGINT, previous)
     time.sleep(0.3)  # a point still queued would start in this time
-    assert waiting.is_set() and len(started) <= 2
+    assert waiting.is_set() and len(started) <= threads
     assert not (tmp_path / "records.csv").exists()
+
+
+def test_a_sweep_leaves_no_block_buffers_on_the_callers_thread(tmp_path):
+    held = []
+
+    def sweep_then_look():
+        run_sweep(SweepConfig(alpha_values=(1.0, 2.0), outputs=frozenset({"probability"}),
+                              output_dir=tmp_path, threads=1, **SMALL))
+        held.append(getattr(snwell.wigner._blocks, "buffers", None))
+
+    # a fresh thread, so no earlier test's buffers sit on it
+    caller = threading.Thread(target=sweep_then_look)
+    caller.start()
+    caller.join(timeout=60)
+    # the pool's worker kept the probability kernel's buffers and freed them
+    # as it exited; the caller holds none
+    assert not caller.is_alive() and held == [None]
 
 
 def test_single_point_sweep_matches_direct_calls(tmp_path):
@@ -263,7 +282,8 @@ def test_contours_file_points_lie_on_level_sets(tmp_path):
     assert rows, "expected at least one contour sample"
     for row in rows:
         e, x, p = float(row[1]), float(row[2]), float(row[3])
-        assert abs(hamiltonian(params, x, p) - e) <= 1e-9 * max(1.0, abs(e))
+        h = p**2 / (2.0 * params.mass) + potential(params, x)
+        assert abs(h - e) <= 1e-9 * max(1.0, abs(e))
 
 
 def test_table_lines_print_each_value_by_the_round_trip_rule(tmp_path, monkeypatch):
@@ -636,6 +656,68 @@ def test_fail_fast_aborts_immediately(tmp_path, monkeypatch):
     with pytest.raises(SweepPointError):
         run_sweep(cfg)
     assert calls == [1.0]
+    assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads={t}")
+def test_fail_fast_starts_no_point_after_the_failure(tmp_path, monkeypatch, threads):
+    calls = []
+    real_solve, real_wait = snwell.sweep.solve, snwell.sweep.wait
+
+    def failing_solve(h, k):
+        if h.params.alpha == 1.0:
+            calls.append(1.0)
+            raise NumericalError("synthetic failure")
+        time.sleep(0.05)  # the first point fails while a second one runs
+        calls.append(h.params.alpha)
+        return real_solve(h, k)
+
+    def late_wait(*args, **kwargs):
+        time.sleep(0.3)  # a main thread that wakes late
+        return real_wait(*args, **kwargs)
+
+    monkeypatch.setattr(snwell.sweep, "solve", failing_solve)
+    monkeypatch.setattr(snwell.sweep, "wait", late_wait)
+    cfg = SweepConfig(
+        alpha_values=tuple(1.0 + i for i in range(6)),
+        outputs=frozenset({"observables"}),
+        output_dir=tmp_path,
+        fail_fast=True,
+        threads=threads,
+        **SMALL,
+    )
+    with pytest.raises(SweepPointError) as excinfo:
+        run_sweep(cfg)
+    assert calls[0] == 1.0 and len(calls) <= threads
+    assert [f.alpha for f in excinfo.value.failures] == [1.0] and excinfo.value.records == []
+    assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads={t}")
+def test_base_exception_in_a_point_propagates_and_starts_no_further_point(tmp_path, monkeypatch,
+                                                                          threads):
+    calls = []
+    real_solve = snwell.sweep.solve
+
+    def exiting_solve(h, k):
+        if h.params.alpha == 1.0:
+            calls.append(1.0)
+            raise SystemExit("synthetic exit")
+        time.sleep(0.05)
+        calls.append(h.params.alpha)
+        return real_solve(h, k)
+
+    monkeypatch.setattr(snwell.sweep, "solve", exiting_solve)
+    cfg = SweepConfig(
+        alpha_values=tuple(1.0 + i for i in range(6)),
+        outputs=frozenset({"observables"}),
+        output_dir=tmp_path,
+        threads=threads,
+        **SMALL,
+    )
+    with pytest.raises(SystemExit, match="synthetic exit"):
+        run_sweep(cfg)
+    assert calls[0] == 1.0 and len(calls) <= threads
     assert not (tmp_path / "records.csv").exists()
 
 

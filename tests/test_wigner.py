@@ -30,13 +30,13 @@ from snwell import (
     marginal_x,
     nonreactive_probabilities,
     nonreactive_probability,
+    potential,
     run_sweep,
     solve,
     wigner_transform,
 )
 
 import snwell.wigner
-from snwell.classical import hamiltonian
 from snwell.eigensolve import EigenState
 from snwell.wigner import (
     _build_prefix_table,
@@ -352,7 +352,8 @@ def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, p
     xg = make_grid(a, a + width, n)
     levels, columns, counts = _levels(pg)
     with np.errstate(over="ignore", invalid="ignore"):
-        inside = hamiltonian(params, xg.points[:, None], pg.points[None, :]) <= 0.0
+        h = pg.points[None, :] ** 2 / (2.0 * params.mass) + potential(params, xg.points[:, None])
+        inside = h <= 0.0
         reach = _level_reach(xg, levels, params)
     assert np.all(np.diff(levels) > 0) and set(counts.tolist()) <= {1, 2}
     np.testing.assert_array_equal(levels[columns], np.abs(pg.points))
@@ -365,7 +366,8 @@ def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, p
 
 def reference_probability(w, params):
     """The integral of rho over the cells where H, tabulated on the grid, is <= 0."""
-    h = hamiltonian(params, w.spatial_grid.points[:, None], w.momentum_grid.points[None, :])
+    p, x = w.momentum_grid.points[None, :], w.spatial_grid.points[:, None]
+    h = p**2 / (2.0 * params.mass) + potential(params, x)
     inside = np.where(h <= 0.0, w.values, 0.0)
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
