@@ -87,7 +87,7 @@ DEFAULT_OUTPUTS = frozenset({"spectrum", "observables", "probability", "contours
 # seconds between the pool's checks for an interrupt
 _POLL_S = 0.1
 
-# header keys that load_wigner_grid needs to rebuild a field
+# the first header keys of a Wigner file, in order; load_wigner_grid needs each
 _WIGNER_KEYS = ("mu", "alpha", "hbar", "mass", "state_index", "energy",
                 "x_window", "x_points", "p_window", "p_points")
 
@@ -129,6 +129,10 @@ class SweepConfig:
         if self.threads is _DEFAULT_THREADS:
             threads = 1 if "wigner" in self.outputs else _usable_cpus()
             object.__setattr__(self, "threads", threads)
+        for name in ("n_points", "n_states", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if len(self.alpha_values) < 1:
             raise ConfigurationError("alpha_values must not be empty")
         if len(set(self.alpha_values)) != len(self.alpha_values):
@@ -141,8 +145,6 @@ class SweepConfig:
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise ConfigurationError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUT_KINDS}")
-        if not (isinstance(self.threads, int) and self.threads >= 1):
-            raise ConfigurationError(f"threads must be an integer >= 1, got {self.threads!r}")
         # ModelParams checks alpha, mu, hbar and mass; V is a cubic, so on a finite
         # window it stays finite everywhere once it is finite at both ends
         ends = np.array(self.domain, dtype=float)
@@ -341,23 +343,13 @@ def emit_wigner_grid(w: WignerField, path) -> None:
     """
     path = Path(path)
     xg, pg = w.spatial_grid, w.momentum_grid
-    lines = _header(
-        "snwell wigner grid",
-        [
-            ("mu", w.params.mu),
-            ("alpha", w.params.alpha),
-            ("hbar", w.params.hbar),
-            ("mass", w.params.mass),
-            ("state_index", str(w.state_index)),
-            ("energy", w.energy),
-            ("x_window", (xg.a, xg.b)),
-            ("x_points", str(xg.n_points)),
-            ("p_window", (pg.c, pg.d)),
-            ("p_points", str(pg.n_points)),
-            ("nonreactive_prob", nonreactive_probability(w, w.params)),
-            ("layout", "rows x, columns p"),
-        ],
-    )
+    values = (w.params.mu, w.params.alpha, w.params.hbar, w.params.mass, str(w.state_index),
+              w.energy, (xg.a, xg.b), str(xg.n_points), (pg.c, pg.d), str(pg.n_points))
+    lines = _header("snwell wigner grid", [
+        *zip(_WIGNER_KEYS, values, strict=True),
+        ("nonreactive_prob", nonreactive_probability(w, w.params)),
+        ("layout", "rows x, columns p"),
+    ])
     _write_lines(path, itertools.chain(lines, _grid_rows(w.values)))
 
 
@@ -403,12 +395,7 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
     shape = (int(meta["x_points"]), int(meta["p_points"]))
     if values.shape != shape:
         raise ValueError(f"{path}: grid has shape {values.shape}, header says {shape}")
-    params = ModelParams(
-        mu=float(meta["mu"]),
-        alpha=float(meta["alpha"]),
-        hbar=float(meta["hbar"]),
-        mass=float(meta["mass"]),
-    )
+    params = ModelParams(**{key: float(meta[key]) for key in ("mu", "alpha", "hbar", "mass")})
     xa, xb = (float(v) for v in meta["x_window"].split())
     pc, pd = (float(v) for v in meta["p_window"].split())
     xg = make_grid(xa, xb, shape[0])
@@ -430,10 +417,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     Every point runs on a pool of min(cfg.threads, points) workers.  Point
     failures (a failed write included) are logged with their (alpha, n) and
     do not stop the other points unless cfg.fail_fast; if any occurred, a
-    SweepPointError carrying them in alpha order (and the successful records)
-    is raised after the remaining points were computed and written.  A
-    fail_fast failure or an interrupt starts no further point; its error
-    carries no records, and records.csv is not written.
+    SweepPointError carrying them in the order the alphas were given (and the
+    successful records) is raised after the remaining points were computed
+    and written.  A fail_fast failure or an interrupt starts no further
+    point; its error carries no records, and records.csv is not written.
     """
     grid = make_grid(cfg.domain[0], cfg.domain[1], cfg.n_points)
     pgrid = make_momentum_grid(cfg.momentum_domain[0], cfg.momentum_domain[1], cfg.n_points)
@@ -443,31 +430,27 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     except OSError as exc:
         raise ConfigurationError(f"cannot create the output directory: {exc}") from exc
 
-    n_points = len(cfg.alpha_values)
-    results: list[list[SweepRecord]] = [[] for _ in range(n_points)]
-    failures: list[PointFailure] = []
     abort = threading.Event()  # once set, no further point starts
 
-    def capture(i: int):
+    def capture(alpha: float) -> list[SweepRecord] | PointFailure | None:
+        """The point's records, its failure, or None if it never started."""
         if abort.is_set():
-            return
-        alpha = cfg.alpha_values[i]
+            return None
         try:
-            results[i] = _sweep_point(cfg, grid, pgrid, alpha, outdir)
+            return _sweep_point(cfg, grid, pgrid, alpha, outdir)
         except Exception as exc:
             logger.error("sweep point alpha=%s failed: %s", alpha, exc)
-            failures.append(PointFailure(
-                alpha=alpha, state_index=getattr(exc, "state_index", None), message=str(exc)
-            ))
             if cfg.fail_fast:
                 abort.set()
+            return PointFailure(alpha=alpha, state_index=getattr(exc, "state_index", None),
+                                message=str(exc))
         except BaseException:
             abort.set()
             raise
 
-    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, n_points))
+    pool = ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.alpha_values)))
     try:
-        futures = [pool.submit(capture, i) for i in range(n_points)]
+        futures = [pool.submit(capture, alpha) for alpha in cfg.alpha_values]
         # wake now and then: Ctrl-C is raised only while the main thread runs
         while wait(futures, _POLL_S).not_done and not abort.is_set():
             pass
@@ -475,15 +458,13 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         # no point starts after this; the points in flight finish their files
         abort.set()
         pool.shutdown(cancel_futures=True)
-    for fut in futures:
-        if not fut.cancelled():
-            fut.result()  # re-raises a BaseException from a point
 
-    # threads finish in any order; report in the order the alphas were given
-    failures.sort(key=lambda f: cfg.alpha_values.index(f.alpha))
+    # in the order the alphas were given; result() re-raises a BaseException from a point
+    outcomes = [fut.result() for fut in futures if not fut.cancelled()]
+    failures = [o for o in outcomes if isinstance(o, PointFailure)]
     if failures and cfg.fail_fast:
         raise SweepPointError(failures, [])
-    records = [r for point in results for r in point]
+    records = [r for o in outcomes if isinstance(o, list) for r in o]
     _write_records(outdir / "records.csv", cfg, records)
     if failures:
         raise SweepPointError(failures, records)

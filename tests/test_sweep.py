@@ -82,6 +82,11 @@ def tree_digest(root):
         dict(threads=None),
         dict(domain=(-1e103, 1e103)),
         dict(alpha_values=(1.0, 1000.0), domain=(-1e102, 1.0)),  # V overflows at alpha = 1000
+        dict(n_points=149.0),  # was accepted, and then every point failed
+        dict(n_states=2.0),
+        dict(threads=2.0),
+        dict(threads=True),  # a bool is an int to isinstance, and ran one worker
+        dict(n_points=np.float64(149)),
     ],
 )
 def test_config_validation(kwargs):
@@ -392,12 +397,13 @@ def test_truncated_wigner_file_rejected(tmp_path, deep_spectrum, saddle_grid, mo
 def test_wigner_file_without_a_header_key_rejected(tmp_path, deep_spectrum, saddle_grid,
                                                  momentum_grid, deep_params):
     w = wigner_transform(deep_spectrum.states[0], saddle_grid, momentum_grid, deep_params)
-    path = tmp_path / "field.dat"
-    emit_wigner_grid(w, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(x for x in lines if not x.startswith("# p_points")) + "\n")
-    with pytest.raises(ValueError, match="p_points"):
-        load_wigner_grid(path)
+    full, path = tmp_path / "field.dat", tmp_path / "dropped.dat"
+    emit_wigner_grid(w, full)
+    lines = full.read_text().splitlines()
+    for key in snwell.sweep._WIGNER_KEYS:
+        path.write_text("\n".join(x for x in lines if not x.startswith(f"# {key} =")) + "\n")
+        with pytest.raises(ValueError, match=f"header has no {key} line"):
+            load_wigner_grid(path)
 
 
 def test_serial_and_parallel_trees_identical(tmp_path):
@@ -568,6 +574,15 @@ def test_records_csv_same_for_numpy_float_alphas(tmp_path):
     assert b"np.float64" not in plain
 
 
+def test_numpy_integer_counts_write_the_same_tree(tmp_path):
+    cfg = SweepConfig(alpha_values=(1.0, 2.5), outputs=frozenset({"observables", "spectrum"}),
+                      output_dir=tmp_path / "plain", threads=2, **SMALL)
+    run_sweep(cfg)
+    counts = {name: np.int64(getattr(cfg, name)) for name in ("n_points", "n_states", "threads")}
+    run_sweep(replace(cfg, output_dir=tmp_path / "numpy", **counts))
+    assert tree_digest(tmp_path / "numpy") == tree_digest(tmp_path / "plain")
+
+
 def test_wigner_point_holds_one_field_at_a_time(tmp_path):
     cfg = SweepConfig(alpha_values=(2.0,), outputs=frozenset({"wigner", "probability"}),
                       n_points=599, n_states=5, threads=1)
@@ -610,19 +625,22 @@ def test_point_failure_reported_and_others_survive(tmp_path, monkeypatch):
     assert sorted({row[0] for row in rows}) == ["1.0", "5.0"]
 
 
-def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch):
+@pytest.mark.parametrize("alphas", [(1.0, 2.0, 5.0), (5.0, 2.0, 1.0)],
+                         ids=["ascending", "descending"])
+def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch, alphas):
     real_solve = snwell.sweep.solve
+    first, last = alphas[0], alphas[-1]
 
     def failing_solve(h, k):
-        if h.params.alpha == 1.0:
-            time.sleep(0.3)  # lets alpha = 5.0 fail first on the other worker
-        if h.params.alpha in (1.0, 5.0):
+        if h.params.alpha == first:
+            time.sleep(0.3)  # lets the last-given point fail first on the other worker
+        if h.params.alpha in (first, last):
             raise NumericalError(f"synthetic failure at {h.params.alpha}")
         return real_solve(h, k)
 
     monkeypatch.setattr(snwell.sweep, "solve", failing_solve)
     cfg = SweepConfig(
-        alpha_values=(1.0, 2.0, 5.0),
+        alpha_values=alphas,
         outputs=frozenset({"observables"}),
         output_dir=tmp_path,
         threads=2,
@@ -630,7 +648,8 @@ def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch):
     )
     with pytest.raises(SweepPointError) as excinfo:
         run_sweep(cfg)
-    assert [f.alpha for f in excinfo.value.failures] == [1.0, 5.0]
+    # the order the alphas were given: neither sorted nor the order they failed in
+    assert [f.alpha for f in excinfo.value.failures] == [first, last]
     assert [r.alpha for r in excinfo.value.records] == [2.0] * cfg.n_states
 
 
