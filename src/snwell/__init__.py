@@ -5,40 +5,16 @@ observables, Wigner quasiprobability fields, and the phase-space probability
 of classically nonreactive behaviour, swept over the well-depth parameter.
 """
 
-from .classical import (ModelParams, contour_points, depth, harmonic_energy_estimate,
-                        potential)
-from .discretize import DiscreteHamiltonian, SpatialGrid, assemble, make_grid
-from .eigensolve import EigenState, Spectrum, solve
-from .errors import ConfigurationError, NumericalError
-from .observables import moment, position_records, uncertainty
-from .sweep import (
-    SweepConfig,
-    SweepPointError,
-    SweepRecord,
-    emit_wigner_grid,
-    load_wigner_grid,
-    run_sweep,
-)
-from .wigner import (
-    MomentumGrid,
-    WignerField,
-    make_momentum_grid,
-    marginal_x,
-    nonreactive_probabilities,
-    nonreactive_probability,
-    wigner_transform,
-)
+from . import classical, discretize, eigensolve, errors, observables, sweep, wigner
+from .classical import *
+from .discretize import *
+from .eigensolve import *
+from .errors import *
+from .observables import *
+from .sweep import *
+from .wigner import *
 
-__all__ = [
-    "ModelParams", "contour_points", "depth", "harmonic_energy_estimate", "potential",
-    "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
-    "EigenState", "Spectrum", "solve",
-    "ConfigurationError", "NumericalError",
-    "moment", "position_records", "uncertainty",
-    "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid", "load_wigner_grid",
-    "run_sweep",
-    "MomentumGrid", "WignerField", "make_momentum_grid", "marginal_x",
-    "nonreactive_probabilities", "nonreactive_probability", "wigner_transform",
-]
+__all__ = (classical.__all__ + discretize.__all__ + eigensolve.__all__ + errors.__all__
+           + observables.__all__ + sweep.__all__ + wigner.__all__)
 
 __version__ = "0.1.0"

@@ -115,7 +115,10 @@ def _read_config_file(path: Path) -> dict[str, list[str]]:
 def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
     if not math.isfinite(count) or count != int(count) or count < 1:
         raise ConfigurationError(f"alpha range count must be a positive integer, got {count}")
-    return tuple(float(a) for a in np.linspace(start, stop, int(count)))
+    try:
+        return tuple(np.linspace(start, stop, int(count)).tolist())
+    except (ValueError, MemoryError) as exc:  # a count too large to allocate
+        raise ConfigurationError(f"alpha range count {count:g} is too large: {exc}") from exc
 
 
 def _output_set(text: str) -> frozenset:

@@ -26,7 +26,7 @@ import numpy as np
 from .classical import ModelParams, potential
 from .errors import ConfigurationError
 
-__all__ = ["SpatialGrid", "DiscreteHamiltonian", "make_grid", "assemble", "uniform_points"]
+__all__ = ["SpatialGrid", "DiscreteHamiltonian", "make_grid", "assemble"]
 
 
 def uniform_points(a: float, b: float, n: int) -> np.ndarray:

@@ -69,10 +69,8 @@ from .wigner import (
 )
 
 __all__ = [
-    "OUTPUT_KINDS",
     "SweepConfig",
     "SweepRecord",
-    "PointFailure",
     "SweepPointError",
     "run_sweep",
     "emit_wigner_grid",
@@ -217,8 +215,8 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
     records, written = [], []
     try:
         probs = means = sigmas = [math.nan] * len(states)
-        # without Wigner files the probabilities come straight from the
-        # correlation matrices; with them, from the fields as emit_wigner_grid does
+        # without Wigner files the probabilities come from the states through the
+        # cached prefix table, with no field built; with them, from each field
         if want_prob and not want_wigner:
             probs = nonreactive_probabilities(states, grid, pgrid, params)
         if "observables" in cfg.outputs:

@@ -216,6 +216,19 @@ def test_non_finite_range_count_exits_2(tmp_path, capsys, count):
     assert not (tmp_path / "out").exists()
 
 
+# 1e300 is past numpy's largest array size; 1e18 doubles (6.94 EiB) are past
+# any address space, so the allocation fails at once and touches no memory
+@pytest.mark.parametrize("count", ["1e300", "1e18"])
+def test_unallocatable_range_count_exits_2(tmp_path, capsys, count):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"alpha_range = 1 5 {count}\n")
+    for argv in (["--alpha-range", "1", "5", count], ["--config", str(cfg_file)]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key,window", [("pdomain", "0 inf"), ("pdomain", "-inf 6"), ("domain", "-1 inf")]
 )

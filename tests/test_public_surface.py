@@ -27,6 +27,22 @@ def test_package_exports_what_it_imports():
     assert sorted(bound) == sorted(snwell.__all__)
 
 
+def test_package_surface_is_the_pinned_list():
+    # the package re-exports every module's __all__, so a name added there
+    # joins the surface; growing it takes an edit here too
+    assert sorted(snwell.__all__) == sorted([
+        "ModelParams", "contour_points", "depth", "harmonic_energy_estimate", "potential",
+        "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
+        "EigenState", "Spectrum", "solve",
+        "ConfigurationError", "NumericalError",
+        "moment", "position_records", "uncertainty",
+        "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid",
+        "load_wigner_grid", "run_sweep",
+        "MomentumGrid", "WignerField", "make_momentum_grid", "marginal_x",
+        "nonreactive_probabilities", "nonreactive_probability", "wigner_transform",
+    ])
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a leading underscore keeps a name to its own module; the foreign-code
     # wrapper is imported whole (from . import _lapack), which stays allowed

@@ -712,6 +712,35 @@ def test_fail_fast_starts_no_point_after_the_failure(tmp_path, monkeypatch, thre
     assert not (tmp_path / "records.csv").exists()
 
 
+def test_fail_fast_lists_the_failures_in_flight_in_the_given_order(tmp_path, monkeypatch):
+    calls = []
+    real_solve = snwell.sweep.solve
+    both_running = threading.Barrier(2, timeout=10)
+
+    def failing_solve(h, k):
+        calls.append(h.params.alpha)
+        if h.params.alpha in (5.0, 1.0):
+            both_running.wait()  # both points are in flight before either fails
+            raise NumericalError(f"synthetic failure at {h.params.alpha}")
+        return real_solve(h, k)
+
+    monkeypatch.setattr(snwell.sweep, "solve", failing_solve)
+    cfg = SweepConfig(
+        alpha_values=(5.0, 1.0, 2.0, 3.0),
+        outputs=frozenset({"observables"}),
+        output_dir=tmp_path,
+        fail_fast=True,
+        threads=2,
+        **SMALL,
+    )
+    with pytest.raises(SweepPointError) as excinfo:
+        run_sweep(cfg)
+    assert [f.alpha for f in excinfo.value.failures] == [5.0, 1.0]
+    assert excinfo.value.records == []
+    assert sorted(calls) == [1.0, 5.0]
+    assert not (tmp_path / "records.csv").exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads={t}")
 def test_base_exception_in_a_point_propagates_and_starts_no_further_point(tmp_path, monkeypatch,
                                                                           threads):
