@@ -66,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, metavar="FILE",
                         help="flat 'key = value' config file; flags override it")
     parser.add_argument("--mu", type=float, help="equilibrium-separation parameter (default 4)")
-    parser.add_argument("--alpha", type=float, action="append", metavar="A",
+    parser.add_argument("--alpha", dest="alpha_values", type=float, action="append", metavar="A",
                         help="well-depth parameter, repeatable (default 1 2 5)")
     parser.add_argument("--alpha-range", nargs=3, type=float, metavar=("START", "STOP", "COUNT"),
                         help="evenly spaced alpha values, inclusive endpoints")
     parser.add_argument("--domain", nargs=2, type=float, metavar=("A", "B"),
                         help="spatial window (default -1 9)")
-    parser.add_argument("--pdomain", nargs=2, type=float, metavar=("C", "D"),
+    parser.add_argument("--pdomain", dest="momentum_domain", nargs=2, type=float,
+                        metavar=("C", "D"),
                         help="momentum window (default -6 6)")
     parser.add_argument("--n-points", type=int, metavar="N",
                         help="grid points per axis, endpoints included (default 599)")
@@ -83,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--outputs", type=_output_set, metavar="LIST",
                         help=f"comma or space separated subset of {OUTPUT_KINDS} "
                         f"(default: {' '.join(sorted(DEFAULT_OUTPUTS))})")
-    parser.add_argument("--out", type=_directory, metavar="DIR", help="output directory")
+    parser.add_argument("--out", dest="output_dir", type=_directory, metavar="DIR",
+                        help="output directory")
     parser.add_argument("--fail-fast", action="store_true", default=None,
                         help="abort on the first failing sweep point")
     parser.add_argument("--threads", type=int, metavar="T",
@@ -92,24 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "output); 1 is one worker taking the points in order")
     parser._negative_number_matcher = _NegativeFloat()
     return parser
-
-
-def _read_config_file(path: Path) -> dict[str, list[str]]:
-    """Read a flat key = value file; repeated keys accumulate in order."""
-    entries: dict[str, list[str]] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        entries.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
-    return entries
 
 
 def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
@@ -144,26 +128,38 @@ def _fail_fast_token(text: str) -> list[str]:
 
 
 def _parse_config_entries(path: Path) -> argparse.Namespace:
-    """Parse the file's entries as the flags of the same names."""
+    """Read a flat key = value file, each line as the flag of its key's name."""
     parser = build_parser()
     parser.exit_on_error = False
-    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    tokens = []
-    for key, values in _read_config_file(path).items():
+    actions = {a.option_strings[0][2:].replace("-", "_"): a
+               for a in parser._actions if a.dest not in ("help", "config")}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+    tokens, seen = [], set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
         if key not in actions:
             raise ConfigurationError(f"unknown config key '{key}'")
-        if len(values) > 1 and key != "alpha":
-            raise ConfigurationError(f"config key '{key}' appears {len(values)} times")
+        if key in seen and key != "alpha":
+            raise ConfigurationError(f"{path}:{lineno}: config key '{key}' repeats")
+        seen.add(key)
         nargs, flag = actions[key].nargs, actions[key].option_strings[0]
-        for value in values:
-            if nargs == 0:
-                tokens += _fail_fast_token(value)
-            elif nargs is None:
-                tokens.append(f"{flag}={value}")  # one value, even if it starts with '-'
-            elif len(value.split()) == nargs:
-                tokens += [flag, *value.split()]
-            else:  # extra parts could pass for other flags
-                raise ConfigurationError(f"'{key}' needs {nargs} values, got {value!r}")
+        if nargs == 0:
+            tokens += _fail_fast_token(value)
+        elif nargs is None:
+            tokens.append(f"{flag}={value}")  # one value, even if it starts with '-'
+        elif len(value.split()) == nargs:
+            tokens += [flag, *value.split()]
+        else:  # extra parts could pass for other flags
+            raise ConfigurationError(f"'{key}' needs {nargs} values, got {value!r}")
     try:
         namespace, extra = parser.parse_known_args(tokens)
     except argparse.ArgumentError as exc:
@@ -173,22 +169,18 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
     return namespace
 
 
-# the flags whose SweepConfig field has another name
-_FIELDS = {"alpha": "alpha_values", "pdomain": "momentum_domain", "out": "output_dir"}
-
-
 def config_from_args(args: argparse.Namespace) -> SweepConfig:
     """Merge CLI flags over config-file entries over the defaults."""
     values = vars(_parse_config_entries(args.config)) if args.config else {}
-    if args.alpha is not None or args.alpha_range is not None:
-        values.update(alpha=None, alpha_range=None)  # the flags replace both keys
+    if args.alpha_values is not None or args.alpha_range is not None:
+        values.update(alpha_values=None, alpha_range=None)  # the flags replace both keys
     values.update((k, v) for k, v in vars(args).items() if v is not None)
     alpha_range = values.pop("alpha_range", None)
     if alpha_range is not None:
-        if values.get("alpha") is not None:
+        if values.get("alpha_values") is not None:
             raise ConfigurationError("alpha and alpha_range are mutually exclusive")
-        values["alpha"] = _alpha_list(*alpha_range)
-    return SweepConfig(**{_FIELDS.get(k, k): tuple(v) if isinstance(v, list) else v
+        values["alpha_values"] = _alpha_list(*alpha_range)
+    return SweepConfig(**{k: tuple(v) if isinstance(v, list) else v
                           for k, v in values.items() if v is not None and k != "config"})
 
 

@@ -144,7 +144,9 @@ class SweepConfig:
         if unknown:
             raise ConfigurationError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUT_KINDS}")
         # ModelParams checks alpha, mu, hbar and mass; V is a cubic, so on a finite
-        # window it stays finite everywhere once it is finite at both ends
+        # window it stays finite everywhere once it is finite at both ends.  The
+        # depth and the kinetic scale (the off-diagonal, which must be strictly
+        # negative) can still overflow or underflow though each part is finite.
         ends = np.array(self.domain, dtype=float)
         for alpha in self.alpha_values:
             params = ModelParams(mu=self.mu, alpha=alpha, hbar=self.hbar, mass=self.mass)
@@ -155,6 +157,25 @@ class SweepConfig:
                     f"the potential at the window ends {self.domain} is not finite "
                     f"for alpha = {alpha}: {at_ends.tolist()}"
                 )
+            _require_finite(f"the well depth 4 mu^(3/2) / (3 alpha^2) for alpha = {alpha}",
+                            lambda: depth(params))
+        dx = (self.domain[1] - self.domain[0]) / (self.n_points - 1)
+        _require_finite(f"the kinetic scale hbar^2 / (m dx^2) at dx = {dx!r}",
+                        lambda: self.hbar**2 / (self.mass * dx**2), positive=True)
+
+
+def _require_finite(quantity: str, compute, positive: bool = False) -> None:
+    """Raise a ConfigurationError naming quantity unless compute() gives a
+    finite number, and one > 0 if positive; Python's float ** and / raise an
+    ArithmeticError where numpy would give inf or nan."""
+    try:
+        value = compute()
+        usable = math.isfinite(value) and (value > 0 or not positive)
+    except ArithmeticError as exc:
+        value, usable = exc, False
+    if not usable:
+        kind = "finite positive" if positive else "finite"
+        raise ConfigurationError(f"{quantity} is not a {kind} number: {value}")
 
 
 @dataclass(frozen=True)

@@ -278,8 +278,9 @@ def _level_reach(xg: SpatialGrid, levels: np.ndarray, params: ModelParams) -> np
     finds the row's levels.  An overflowed H (NaN or +inf) is never <= 0: the
     bisection runs over the finite f only, and fmax reads a NaN -V_j as -1.
     """
-    kinetic = levels**2 / (2.0 * params.mass)
-    bound = np.fmax(-potential(params, xg.points), -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = levels**2 / (2.0 * params.mass)
+        bound = np.fmax(-potential(params, xg.points), -1.0)
     return np.searchsorted(kinetic[np.isfinite(kinetic)], bound, side="right")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import re
@@ -30,6 +31,11 @@ def test_defaults_mirror_standard_setup():
     assert cfg.threads == cpus
 
 
+def test_every_flag_names_its_config_field():
+    fields = {f.name for f in dataclasses.fields(snwell.sweep.SweepConfig)}
+    assert set(vars(build_parser().parse_args([]))) == fields | {"config", "alpha_range"}
+
+
 def test_wigner_output_defaults_to_one_thread():
     assert parse(["--outputs", "wigner"]).threads == 1
     assert parse(["--outputs", "wigner,probability", "--threads", "2"]).threads == 2
@@ -37,7 +43,8 @@ def test_wigner_output_defaults_to_one_thread():
 
 def test_import_loads_no_scipy():
     # scipy.linalg used to be most of the command's start-up time
-    env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]),
+               PYTHONWARNINGS="error")
     code = "import snwell.cli, sys; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
@@ -56,7 +63,7 @@ def test_figure_script_runs_are_valid_configs(tmp_path):
 
 def test_convergence_study_script_runs():
     root = Path(__file__).parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONWARNINGS="error")
     done = subprocess.run([sys.executable, str(root / "scripts" / "convergence_study.py")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -80,7 +87,7 @@ def test_window_flags_take_every_negative_float_spelling():
     assert parse(["--domain", "-1e3", "9"]).domain == (-1000.0, 9.0)
     assert parse(["--domain", "-1E+1", "-.5"]).domain == (-10.0, -0.5)
     args = build_parser().parse_args(["--pdomain", "-inf", "6", "--mu", "-Infinity"])
-    assert args.pdomain == [-float("inf"), 6.0] and args.mu == -float("inf")
+    assert args.momentum_domain == [-float("inf"), 6.0] and args.mu == -float("inf")
 
 
 def test_outputs_flag_accepts_commas():
@@ -205,15 +212,22 @@ def test_bad_range_count_exits_2():
     assert main(["--alpha-range", "1", "2", "2.5"]) == 2
 
 
-@pytest.mark.parametrize("count", ["inf", "nan"])
-def test_non_finite_range_count_exits_2(tmp_path, capsys, count):
-    cfg_file = tmp_path / "sweep.cfg"
-    cfg_file.write_text(f"alpha_range = 1 2 {count}\n")
-    for argv in (["--alpha-range", "1", "2", count], ["--config", str(cfg_file)]):
+def assert_runs_exit_2(tmp_path, capsys, runs):
+    """Each argv exits 2 with a configuration error and no traceback, and no
+    run creates its output directory."""
+    for argv in runs:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", ["inf", "nan"])
+def test_non_finite_range_count_exits_2(tmp_path, capsys, count):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"alpha_range = 1 2 {count}\n")
+    runs = [["--alpha-range", "1", "2", count], ["--config", str(cfg_file)]]
+    assert_runs_exit_2(tmp_path, capsys, runs)
 
 
 # 1e300 is past numpy's largest array size; 1e18 doubles (6.94 EiB) are past
@@ -222,11 +236,8 @@ def test_non_finite_range_count_exits_2(tmp_path, capsys, count):
 def test_unallocatable_range_count_exits_2(tmp_path, capsys, count):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(f"alpha_range = 1 5 {count}\n")
-    for argv in (["--alpha-range", "1", "5", count], ["--config", str(cfg_file)]):
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    runs = [["--alpha-range", "1", "5", count], ["--config", str(cfg_file)]]
+    assert_runs_exit_2(tmp_path, capsys, runs)
 
 
 @pytest.mark.parametrize(
@@ -236,11 +247,7 @@ def test_non_finite_window_exits_2(tmp_path, capsys, key, window):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(f"{key} = {window}\nalpha = 1\n")
     runs = [["--config", str(cfg_file)], [f"--{key}", *window.split(), "--alpha", "1"]]
-    for argv in runs:
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert_runs_exit_2(tmp_path, capsys, runs)
 
 
 @pytest.mark.parametrize(
@@ -255,10 +262,33 @@ def test_non_finite_window_exits_2(tmp_path, capsys, key, window):
 def test_unusable_finite_window_exits_2(tmp_path, capsys, entries):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(entries)
-    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert_runs_exit_2(tmp_path, capsys, [["--config", str(cfg_file)]])
+
+
+# a well depth or kinetic scale that over- or underflows from finite parts
+@pytest.mark.parametrize(
+    "entries",
+    [
+        "alpha = 1e-160\nn_points = 149\n",
+        "alpha = 1e-200\nn_points = 149\n",
+        "mu = 1e250\nn_points = 149\n",  # the default alphas
+        "alpha = 1\nhbar = 1e-170\nn_points = 149\n",
+        "alpha = 1\nhbar = 1e200\nn_points = 149\n",
+        "alpha = 1\nhbar = 1e154\nn_points = 149\n",
+        "alpha = 1\nmass = 1e-310\nn_points = 149\n",
+        "alpha = 1\ndomain = 0 1e-300\nn_points = 5\nn_states = 1\n",
+    ],
+    ids=["depth_inf", "alpha_squared_0", "mu_power_overflows", "hbar_squared_0",
+         "hbar_squared_overflows", "scale_inf_from_hbar", "scale_inf_from_mass", "dx_squared_0"],
+)
+def test_unusable_depth_or_kinetic_scale_exits_2(tmp_path, capsys, entries):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(entries)
+    flags = []
+    for line in entries.splitlines():
+        key, _, value = line.partition(" = ")
+        flags += [f"--{key.replace('_', '-')}", *value.split()]
+    assert_runs_exit_2(tmp_path, capsys, [flags, ["--config", str(cfg_file)]])
 
 
 def test_uncreatable_output_directory_exits_2(tmp_path, capsys):
@@ -280,6 +310,13 @@ def test_successful_run_exits_0(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "records.csv").exists()
     assert "2 records" in capsys.readouterr().out
+
+
+def test_overflowing_momentum_window_runs(tmp_path):
+    # p^2 / 2m overflows on most of the window, which the region test allows for
+    argv = ["--alpha", "2", "--n-points", "149", "--n-states", "2", "--outputs", "probability",
+            "--pdomain", "-1e300", "1e300", "--out", str(tmp_path)]
+    assert main(argv) == 0
 
 
 def test_unwritable_records_file_exits_1(tmp_path, monkeypatch, capsys):

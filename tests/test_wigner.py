@@ -410,6 +410,17 @@ def test_fused_probabilities_match_field_path_on_any_window(mu, alpha, mass, a, 
         assert_paths_agree(prob, st, grid, pg, params)
 
 
+def test_overflowing_kinetic_levels_do_not_warn():
+    # p^2 overflows for |p| past 1.3e154; the suite turns warnings into errors
+    params = ModelParams(4.0, 1.0)
+    grid = make_grid(-1.0, 9.0, 41)
+    pg = make_momentum_grid(-1e300, 1e300, 41)
+    states = solve(assemble(params, grid), 3).states
+    fused = nonreactive_probabilities(states, grid, pg, params)
+    for st, prob in zip(states, fused):
+        assert_paths_agree(prob, st, grid, pg, params)
+
+
 def test_fused_probabilities_carry_hbar_and_mass():
     grid = make_grid(-1.0, 9.0, 149)
     pg = make_momentum_grid(-6.0, 6.0, 149)
