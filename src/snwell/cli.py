@@ -106,10 +106,7 @@ def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
 
 
 def _output_set(text: str) -> frozenset:
-    kinds = frozenset(text.replace(",", " ").split())
-    if not kinds:
-        raise argparse.ArgumentTypeError("needs at least one output kind")
-    return kinds
+    return frozenset(text.replace(",", " ").split())
 
 
 def _directory(text: str) -> Path:
@@ -147,7 +144,7 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         key, _, value = line.partition("=")
         key, value = key.strip().replace("-", "_"), value.strip()
         if key not in actions:
-            raise ConfigurationError(f"unknown config key '{key}'")
+            raise ConfigurationError(f"{path}:{lineno}: unknown config key '{key}'")
         if key in seen and key != "alpha":
             raise ConfigurationError(f"{path}:{lineno}: config key '{key}' repeats")
         seen.add(key)
@@ -159,7 +156,8 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         elif len(value.split()) == nargs:
             tokens += [flag, *value.split()]
         else:  # extra parts could pass for other flags
-            raise ConfigurationError(f"'{key}' needs {nargs} values, got {value!r}")
+            raise ConfigurationError(
+                f"{path}:{lineno}: '{key}' needs {nargs} values, got {value!r}")
     try:
         namespace, extra = parser.parse_known_args(tokens)
     except argparse.ArgumentError as exc:

@@ -143,6 +143,8 @@ class SweepConfig:
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise ConfigurationError(f"unknown outputs {sorted(unknown)}; valid: {OUTPUT_KINDS}")
+        if not self.outputs:
+            raise ConfigurationError(f"outputs must name at least one of {OUTPUT_KINDS}")
         # ModelParams checks alpha, mu, hbar and mass; V is a cubic, so on a finite
         # window it stays finite everywhere once it is finite at both ends.  The
         # depth and the kinetic scale (the off-diagonal, which must be strictly
@@ -160,14 +162,24 @@ class SweepConfig:
             _require_finite(f"the well depth 4 mu^(3/2) / (3 alpha^2) for alpha = {alpha}",
                             lambda: depth(params))
         dx = (self.domain[1] - self.domain[0]) / (self.n_points - 1)
-        _require_finite(f"the kinetic scale hbar^2 / (m dx^2) at dx = {dx!r}",
-                        lambda: self.hbar**2 / (self.mass * dx**2), positive=True)
+        scale = _require_finite(f"the kinetic scale hbar^2 / (m dx^2) at dx = {dx!r}",
+                                lambda: self.hbar**2 / (self.mass * dx**2), positive=True)
+        # LAPACK's dstebz squares the off-diagonal -scale / 2 (PIVMIN = SAFMIN
+        # max(1, e^2)), and dstein's inverse iteration forms products of about
+        # scale^2 (N - 2) (N - 1)^2 / pi; past the largest double they return an
+        # error or NaN vectors.  scale^2 N^3 <= the largest double keeps both finite.
+        limit = math.sqrt(np.finfo(float).max) / self.n_points**1.5
+        if scale > limit:
+            raise ConfigurationError(
+                f"the kinetic scale hbar^2 / (m dx^2) = {scale!r} is above {limit!r}, "
+                f"sqrt(largest double) / n_points^(3/2), the eigensolver's range"
+            )
 
 
-def _require_finite(quantity: str, compute, positive: bool = False) -> None:
-    """Raise a ConfigurationError naming quantity unless compute() gives a
-    finite number, and one > 0 if positive; Python's float ** and / raise an
-    ArithmeticError where numpy would give inf or nan."""
+def _require_finite(quantity: str, compute, positive: bool = False) -> float:
+    """Return compute(), which must be a finite number, and one > 0 if
+    positive; otherwise raise a ConfigurationError naming quantity.  Python's
+    float ** and / raise an ArithmeticError where numpy would give inf or nan."""
     try:
         value = compute()
         usable = math.isfinite(value) and (value > 0 or not positive)
@@ -176,6 +188,7 @@ def _require_finite(quantity: str, compute, positive: bool = False) -> None:
     if not usable:
         kind = "finite positive" if positive else "finite"
         raise ConfigurationError(f"{quantity} is not a {kind} number: {value}")
+    return value
 
 
 @dataclass(frozen=True)

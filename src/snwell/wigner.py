@@ -12,9 +12,10 @@ points stay inside [a, b], consistent with psi being identically zero
 outside the Dirichlet window.  Real eigenfunctions kill the sine part
 analytically, so no complex arrays are ever built, and the cosine depends on
 p_k only through |p_k|.  Both paths below therefore take their cosines over
-the distinct momentum levels q_i = |p_k| (see _levels), and every column of
-the field is read from its level's column, so rho(x, p) = rho(x, -p) holds
-exactly by construction, on any momentum window.
+the distinct momentum levels q_i = |p_k|, which make_momentum_grid finds
+once per grid (MomentumGrid.levels), and every column of the field is read
+from its level's column, so rho(x, p) = rho(x, -p) holds exactly by
+construction, on any momentum window.
 
 rho is a quasiprobability: it integrates to 1 (up to momentum-window
 truncation) and obeys |rho| <= 1/(pi hbar), but it may be negative and is
@@ -56,11 +57,10 @@ Only nonreactive_probabilities reads a cached phase table: the level prefix
 table T (see _build_prefix_table), (L + 1) x (number of levels + 1)
 doubles, so (L + 1) x (ceil(n_p / 2) + 1) on a mirrored momentum grid,
 2.9 MB at N = n_p = 1201, built once per (x grid, p grid, hbar) in row
-blocks and shared by concurrent sweep points, together with the ascending
-levels it is built over, so the fused path does no np.unique of its own.
-wigner_transform computes its (L + 1) x (number of levels) cosines on each
-call, 7 % of its time at N = 599 and 17 % at N = 2401, so a Wigner sweep,
-which takes its probabilities from the fields, holds no table.
+blocks and shared by concurrent sweep points.  wigner_transform computes
+its (L + 1) x (number of levels) cosines on each call, 7 % of its time at
+N = 599 and 17 % at N = 2401, so a Wigner sweep, which takes its
+probabilities from the fields, holds no table.
 """
 
 from __future__ import annotations
@@ -92,11 +92,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumGrid:
+    """points and their |p| levels, read-only: levels, the distinct |p_k|
+    ascending; columns, the index in levels of each |p_k|; counts, the points
+    at each level (1, or 2 where p_k and -p_k are both on the grid)."""
+
     c: float
     d: float
     n_points: int
     dp: float
     points: np.ndarray = field(repr=False, compare=False)
+    levels: np.ndarray = field(repr=False, compare=False)
+    columns: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
 
 
 def make_momentum_grid(c: float, d: float, n: int) -> MomentumGrid:
@@ -106,7 +113,12 @@ def make_momentum_grid(c: float, d: float, n: int) -> MomentumGrid:
     if n < 2:
         raise ConfigurationError(f"momentum grid needs at least 2 points, got {n}")
     dp = (d - c) / (n - 1)
-    return MomentumGrid(c=c, d=d, n_points=n, dp=dp, points=uniform_points(c, d, n))
+    points = uniform_points(c, d, n)
+    levels, columns, counts = np.unique(np.abs(points), return_inverse=True, return_counts=True)
+    for array in (levels, columns, counts):
+        array.flags.writeable = False
+    return MomentumGrid(c=c, d=d, n_points=n, dp=dp, points=points,
+                        levels=levels, columns=columns, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -143,28 +155,19 @@ def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float) -> np.ndarray:
     return np.cos(table, out=table)
 
 
-def _levels(pg: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q, columns, m: the distinct |p_k| in ascending order, the index in q of
-    each momentum column's |p_k|, and the number of cells at each level (1,
-    or 2 where p_k and -p_k are both on the grid)."""
-    return np.unique(np.abs(pg.points), return_inverse=True, return_counts=True)
-
-
-def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> tuple[np.ndarray, np.ndarray]:
-    """The cached levels and prefix table; sweep points that start together wait for one build."""
+def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
+    """The cached prefix table; sweep points that start together wait for one build."""
     with _kernel_lock:
         return _build_prefix_table(xg, pg, hbar)
 
 
 @functools.lru_cache(maxsize=4)
-def _build_prefix_table(
-    xg: SpatialGrid, pg: MomentumGrid, hbar: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """levels, prefix: the ascending momentum levels q (see _levels) and
-    prefix[l, r] = c_l times the sum over the levels i < r of
-    m_i cos(eta_l q_i / hbar), (L + 1) x (len(q) + 1), with the
-    correlation weights c_0 = 1, c_l = 2 folded in (exact, as is m_i);
-    both read-only, so concurrent sweep points can share them.
+def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
+    """prefix[l, r] = c_l times the sum over the levels i < r of
+    m_i cos(eta_l q_i / hbar), q = pg.levels and m = pg.counts,
+    (L + 1) x (len(q) + 1), with the correlation weights c_0 = 1, c_l = 2
+    folded in (exact, as is m_i); read-only, so concurrent sweep points can
+    share it.
 
     Built in blocks of rows of about _BLOCK_DOUBLES entries: each block's
     cosines go into a scratch array, which is weighted straight into the
@@ -174,17 +177,15 @@ def _build_prefix_table(
     """
     lmax = (xg.n_points - 1) // 2
     eta = 2.0 * xg.dx * np.arange(lmax + 1)
-    levels, _, counts = _levels(pg)
-    prefix = np.zeros((lmax + 1, levels.size + 1))
-    rows = max(1, _BLOCK_DOUBLES // levels.size)
+    prefix = np.zeros((lmax + 1, pg.levels.size + 1))
+    rows = max(1, _BLOCK_DOUBLES // pg.levels.size)
     for l0 in range(0, lmax + 1, rows):
         block = prefix[l0 : l0 + rows, 1:]
-        np.multiply(_cos_rows(eta[l0 : l0 + rows], levels, hbar), counts, out=block)
+        np.multiply(_cos_rows(eta[l0 : l0 + rows], pg.levels, hbar), pg.counts, out=block)
         np.cumsum(block, axis=1, out=block)
         prefix[max(l0, 1) : l0 + rows] *= 2.0
-    levels.flags.writeable = False
     prefix.flags.writeable = False
-    return levels, prefix
+    return prefix
 
 
 def _correlation_matrix(psi: np.ndarray) -> np.ndarray:
@@ -231,12 +232,11 @@ def wigner_transform(
     rho(x, p) = rho(x, -p) holds bitwise by construction.
     """
     _check_state(state, xg)
-    levels, columns, _ = _levels(pg)
     eta = 2.0 * xg.dx * np.arange((xg.n_points - 1) // 2 + 1)
     prefactor = xg.dx / (math.pi * params.hbar)
     by_level = prefactor * (
-        _correlation_matrix(state.values) @ _cos_rows(eta, levels, params.hbar))
-    values = by_level[:, columns]
+        _correlation_matrix(state.values) @ _cos_rows(eta, pg.levels, params.hbar))
+    values = by_level[:, pg.columns]
     return WignerField(
         values=values,
         state_index=state.index,
@@ -260,16 +260,15 @@ def nonreactive_probability(w: WignerField, params: ModelParams) -> float:
     a quasiprobability integral on a finite window, the result can fall
     slightly outside [0, 1] and is reported as computed.
     """
-    levels, columns, _ = _levels(w.momentum_grid)
-    reach = _level_reach(w.spatial_grid, levels, params)
-    inside = np.where(columns < reach[:, None], w.values, 0.0)
+    reach = _level_reach(w.spatial_grid, w.momentum_grid, params)
+    inside = np.where(w.momentum_grid.columns < reach[:, None], w.values, 0.0)
     return float(np.sum(inside)) * w.spatial_grid.dx * w.momentum_grid.dp
 
 
-def _level_reach(xg: SpatialGrid, levels: np.ndarray, params: ModelParams) -> np.ndarray:
-    """reach[j]: the number of the ascending momentum levels (the q of
-    _levels) in row j's region H(x_j, p_k) <= 0: the region is exactly the
-    cells whose |p_k| is one of the first reach[j] levels.
+def _level_reach(xg: SpatialGrid, pg: MomentumGrid, params: ModelParams) -> np.ndarray:
+    """reach[j]: the number of the ascending momentum levels pg.levels in
+    row j's region H(x_j, p_k) <= 0: the region is exactly the cells whose
+    |p_k| is one of the first reach[j] levels.
 
     H(x_j, p_k) is the rounded sum f_k + V_j, f_k = p_k**2 / 2m; a rounded
     sum is <= 0 exactly when the exact one is, so the cell test is
@@ -279,7 +278,7 @@ def _level_reach(xg: SpatialGrid, levels: np.ndarray, params: ModelParams) -> np
     bisection runs over the finite f only, and fmax reads a NaN -V_j as -1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = levels**2 / (2.0 * params.mass)
+        kinetic = pg.levels**2 / (2.0 * params.mass)
         bound = np.fmax(-potential(params, xg.points), -1.0)
     return np.searchsorted(kinetic[np.isfinite(kinetic)], bound, side="right")
 
@@ -300,9 +299,9 @@ def nonreactive_probabilities(
     zero-padded psi, then takes one length-stop dot: no BLAS call and no
     correlation matrix.  Each sum over l runs in ascending order from l = 0
     and the terms left out are exact zeros, so the result does not depend on
-    the block size.  The levels and the table are one cache entry, and the
-    block buffers this thread's, reused from call to call.  With no region
-    cell at all every probability is 0.0.
+    the block size.  The table is cached, and the block buffers are this
+    thread's, reused from call to call.  With no region cell at all every
+    probability is 0.0, and no table is built.
     Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
     max(1, S), S = sum |rho| dx dp over the region cells, not bitwise (the
     sums run in a different order, so the difference scales with the terms).
@@ -311,11 +310,11 @@ def nonreactive_probabilities(
         return []
     for state in states:
         _check_state(state, xg)
-    levels, prefix = _prefix_table(xg, pg, params.hbar)
-    reach = _level_reach(xg, levels, params)
+    reach = _level_reach(xg, pg, params)
     allowed = np.flatnonzero(reach)
     if allowed.size == 0:
         return [0.0] * len(states)
+    prefix = _prefix_table(xg, pg, params.hbar)
     stop = int(allowed[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)

@@ -37,12 +37,12 @@ def test_potential_accepts_arrays():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(mu=-1.0, alpha=1.0),
-        dict(mu=4.0, alpha=0.0),
-        dict(mu=4.0, alpha=-2.0),
-        dict(mu=4.0, alpha=1.0, hbar=0.0),
-        dict(mu=4.0, alpha=1.0, mass=-1.0),
-        dict(mu=float("nan"), alpha=1.0),
+        pytest.param(dict(mu=-1.0, alpha=1.0), id="kwargs0"),
+        pytest.param(dict(mu=4.0, alpha=0.0), id="kwargs1"),
+        pytest.param(dict(mu=4.0, alpha=-2.0), id="kwargs2"),
+        pytest.param(dict(mu=4.0, alpha=1.0, hbar=0.0), id="kwargs3"),
+        pytest.param(dict(mu=4.0, alpha=1.0, mass=-1.0), id="kwargs4"),
+        pytest.param(dict(mu=float("nan"), alpha=1.0), id="kwargs5"),
     ],
 )
 def test_params_validation(kwargs):

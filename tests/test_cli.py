@@ -147,6 +147,8 @@ def test_config_file_alpha_range(tmp_path):
         "outputs =\n",
         "outputs = , ,\n",
         "out =\n",
+        "mu = 4\n# a comment\n\nmystery = 1\n",
+        "mu = 4\n\ndomain = 1\n",
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
@@ -157,29 +159,58 @@ def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err and "usage:" not in err
+    if content in BAD_LINES:
+        assert f"{cfg_file}:{BAD_LINES[content]}: " in err
 
 
-# key, its file value, the same value as flag arguments, and a second value as flags
+# the inputs whose error names the file and the bad line, counting every line
+BAD_LINES = {
+    "mystery = 1\n": 1,
+    "mu 4\n": 1,
+    "mu = 4\nmu = 5\n": 2,
+    "domain = 1 2 3\n": 1,
+    "domain = 1 2 --mass 3\n": 1,
+    "alpha_range = 1 2\n": 1,
+    "config = other.cfg\n": 1,
+    "mu = 4\n# a comment\n\nmystery = 1\n": 4,
+    "mu = 4\n\ndomain = 1\n": 3,
+}
+
+
+# key, its file value, the same value as flag arguments, and a second value
+# as flags; each case carries its id, so that a case added anywhere renames no other
 PARITY_CASES = [
-    ("mu", "3", ["--mu", "3"], ["--mu", "5"]),
-    ("hbar", "0.5", ["--hbar", "0.5"], ["--hbar", "2"]),
-    ("mass", "2", ["--mass", "2"], ["--mass", "3"]),
-    ("n_points", "149", ["--n-points", "149"], ["--n-points", "201"]),
-    ("n_states", "2", ["--n-states", "2"], ["--n-states", "3"]),
-    ("threads", "2", ["--threads", "2"], ["--threads", "3"]),
-    ("domain", "-2 8", ["--domain", "-2", "8"], ["--domain", "-1.5", "7"]),
-    ("pdomain", "-5e0 6", ["--pdomain", "-5e0", "6"], ["--pdomain", "-7", "7"]),
-    ("outputs", "spectrum observables", ["--outputs", "spectrum observables"],
-     ["--outputs", "contours"]),
-    ("out", "some dir", ["--out", "some dir"], ["--out", "other"]),
-    ("out", "-results", ["--out=-results"], ["--out", "other"]),
-    ("alpha", "1\nalpha = 2.5", ["--alpha", "1", "--alpha", "2.5"],
-     ["--alpha-range", "1", "2", "3"]),
-    ("alpha_range", "2 4 3", ["--alpha-range", "2", "4", "3"], ["--alpha", "7"]),
-    ("fail_fast", "true", ["--fail-fast"], ["--fail-fast"]),
-    ("fail_fast", "false", [], ["--fail-fast"]),
-    ("fail_fast", "yes", ["--fail-fast"], ["--fail-fast"]),
-    ("fail_fast", "off", [], ["--fail-fast"]),
+    pytest.param("mu", "3", ["--mu", "3"], ["--mu", "5"], id="mu-3-flags0-override0"),
+    pytest.param("hbar", "0.5", ["--hbar", "0.5"], ["--hbar", "2"],
+                 id="hbar-0.5-flags1-override1"),
+    pytest.param("mass", "2", ["--mass", "2"], ["--mass", "3"], id="mass-2-flags2-override2"),
+    pytest.param("n_points", "149", ["--n-points", "149"], ["--n-points", "201"],
+                 id="n_points-149-flags3-override3"),
+    pytest.param("n_states", "2", ["--n-states", "2"], ["--n-states", "3"],
+                 id="n_states-2-flags4-override4"),
+    pytest.param("threads", "2", ["--threads", "2"], ["--threads", "3"],
+                 id="threads-2-flags5-override5"),
+    pytest.param("domain", "-2 8", ["--domain", "-2", "8"], ["--domain", "-1.5", "7"],
+                 id="domain--2 8-flags6-override6"),
+    pytest.param("pdomain", "-5e0 6", ["--pdomain", "-5e0", "6"], ["--pdomain", "-7", "7"],
+                 id="pdomain--5e0 6-flags7-override7"),
+    pytest.param("outputs", "spectrum observables", ["--outputs", "spectrum observables"],
+                 ["--outputs", "contours"], id="outputs-spectrum observables-flags8-override8"),
+    pytest.param("out", "some dir", ["--out", "some dir"], ["--out", "other"],
+                 id="out-some dir-flags9-override9"),
+    pytest.param("out", "-results", ["--out=-results"], ["--out", "other"],
+                 id="out--results-flags10-override10"),
+    pytest.param("alpha", "1\nalpha = 2.5", ["--alpha", "1", "--alpha", "2.5"],
+                 ["--alpha-range", "1", "2", "3"], id="alpha-1\nalpha = 2.5-flags11-override11"),
+    pytest.param("alpha_range", "2 4 3", ["--alpha-range", "2", "4", "3"], ["--alpha", "7"],
+                 id="alpha_range-2 4 3-flags12-override12"),
+    pytest.param("fail_fast", "true", ["--fail-fast"], ["--fail-fast"],
+                 id="fail_fast-true-flags13-override13"),
+    pytest.param("fail_fast", "false", [], ["--fail-fast"],
+                 id="fail_fast-false-flags14-override14"),
+    pytest.param("fail_fast", "yes", ["--fail-fast"], ["--fail-fast"],
+                 id="fail_fast-yes-flags15-override15"),
+    pytest.param("fail_fast", "off", [], ["--fail-fast"], id="fail_fast-off-flags16-override16"),
 ]
 
 
@@ -331,6 +362,32 @@ def test_unwritable_records_file_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: cannot write records.csv" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("outputs", ["", ",", " , "], ids=["empty", "comma", "spaced_comma"])
+def test_empty_outputs_exit_2(tmp_path, capsys, outputs):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"outputs = {outputs}\n")
+    assert_runs_exit_2(tmp_path, capsys, [["--outputs", outputs], ["--config", str(cfg_file)]])
+
+
+# at N = 149 the solver's range ends at sqrt(largest double) / 149^(3/2) = 7.372e150,
+# which is hbar^2 / (m dx^2) at m = 2.971e-149
+@pytest.mark.parametrize("mass", ["1e-300", "2.9e-149"], ids=["far_past", "just_past"])
+def test_kinetic_scale_past_the_solver_range_exits_2(tmp_path, capsys, mass):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(f"alpha = 1\nmass = {mass}\nn_points = 149\n")
+    flags = ["--alpha", "1", "--mass", mass, "--n-points", "149"]
+    assert_runs_exit_2(tmp_path, capsys, [flags, ["--config", str(cfg_file)]])
+
+
+def test_kinetic_scale_just_inside_the_solver_range_runs(tmp_path):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("alpha = 1\nmass = 3e-149\nn_points = 149\n")
+    flags = ["--alpha", "1", "--mass", "3e-149", "--n-points", "149"]
+    for name, argv in (("flags", flags), ("file", ["--config", str(cfg_file)])):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "records.csv").exists()
+
+
 def test_point_failure_exits_1(tmp_path, monkeypatch):
     def exploding(cfg):
         raise SweepPointError([PointFailure(2.0, None, "synthetic")], [])
@@ -339,14 +396,13 @@ def test_point_failure_exits_1(tmp_path, monkeypatch):
     assert main(["--out", str(tmp_path)]) == 1
 
 
+# each case carries its id, so that a case added anywhere renames no other
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--bogus"],
-        ["--n-points", "many"],
-        ["--outputs", ""],
-        ["--outputs", ","],
-        ["--out", ""],
+        pytest.param(["--bogus"], id="argv0"),
+        pytest.param(["--n-points", "many"], id="argv1"),
+        pytest.param(["--out", ""], id="argv4"),
     ],
 )
 def test_bad_flags_exit_2(tmp_path, monkeypatch, capsys, argv):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -65,33 +66,58 @@ def tree_digest(root):
     return digest
 
 
+# each case carries its id, so that a case added anywhere renames no other
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(alpha_values=()),
-        dict(alpha_values=(1.0, -2.0)),
-        dict(alpha_values=(1.0, 1.0)),
-        dict(n_states=0),
-        dict(outputs=frozenset({"spectrum", "plots"})),
-        dict(threads=0),
-        dict(mu=-1.0),
-        dict(alpha_values=(1.0, math.nan)),
-        dict(alpha_values=(1.0, math.inf)),
-        dict(alpha_values=(2.0, 0.0)),
-        dict(n_points=149, n_states=148),
-        dict(threads=None),
-        dict(domain=(-1e103, 1e103)),
-        dict(alpha_values=(1.0, 1000.0), domain=(-1e102, 1.0)),  # V overflows at alpha = 1000
-        dict(n_points=149.0),  # was accepted, and then every point failed
-        dict(n_states=2.0),
-        dict(threads=2.0),
-        dict(threads=True),  # a bool is an int to isinstance, and ran one worker
-        dict(n_points=np.float64(149)),
+        pytest.param(dict(alpha_values=()), id="kwargs0"),
+        pytest.param(dict(alpha_values=(1.0, -2.0)), id="kwargs1"),
+        pytest.param(dict(alpha_values=(1.0, 1.0)), id="kwargs2"),
+        pytest.param(dict(n_states=0), id="kwargs3"),
+        pytest.param(dict(outputs=frozenset({"spectrum", "plots"})), id="kwargs4"),
+        pytest.param(dict(threads=0), id="kwargs5"),
+        pytest.param(dict(mu=-1.0), id="kwargs6"),
+        pytest.param(dict(alpha_values=(1.0, math.nan)), id="kwargs7"),
+        pytest.param(dict(alpha_values=(1.0, math.inf)), id="kwargs8"),
+        pytest.param(dict(alpha_values=(2.0, 0.0)), id="kwargs9"),
+        pytest.param(dict(n_points=149, n_states=148), id="kwargs10"),
+        pytest.param(dict(threads=None), id="kwargs11"),
+        pytest.param(dict(domain=(-1e103, 1e103)), id="kwargs12"),
+        # V overflows at alpha = 1000
+        pytest.param(dict(alpha_values=(1.0, 1000.0), domain=(-1e102, 1.0)), id="kwargs13"),
+        # was accepted, and then every point failed
+        pytest.param(dict(n_points=149.0), id="kwargs14"),
+        pytest.param(dict(n_states=2.0), id="kwargs15"),
+        pytest.param(dict(threads=2.0), id="kwargs16"),
+        # a bool is an int to isinstance, and ran one worker
+        pytest.param(dict(threads=True), id="kwargs17"),
+        pytest.param(dict(n_points=np.float64(149)), id="kwargs18"),
+        # ran, and wrote a records.csv of nan columns
+        pytest.param(dict(outputs=frozenset()), id="no_outputs"),
+        # sqrt(largest double) / 149^(3/2) = 7.37e150 < hbar^2 / (m dx^2) = 7.55e150
+        pytest.param(dict(mass=2.9e-149, n_points=149), id="scale_past_the_solver_range"),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         SweepConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n", [5, 41, 149, 599])
+def test_solver_works_up_to_the_largest_accepted_kinetic_scale(n):
+    # SweepConfig takes hbar^2 / (m dx^2) up to sqrt(largest double) / N^(3/2);
+    # dstein gave NaN vectors from sqrt(pi) times that on (more at small N),
+    # and dstebz an error from 2 sqrt(largest double) on
+    dx = 10.0 / (n - 1)
+    limit = math.sqrt(sys.float_info.max) / n**1.5
+    for alpha in (1.0, 5.0):
+        cfg = SweepConfig(mass=1.0 / (0.999 * limit * dx**2), n_points=n, n_states=min(5, n - 2),
+                          alpha_values=(alpha,))
+        params = ModelParams(cfg.mu, alpha, mass=cfg.mass)
+        states = solve(assemble(params, make_grid(*cfg.domain, n)), cfg.n_states).states
+        assert np.isfinite([s.values for s in states]).all()
+        with pytest.raises(ConfigurationError, match="eigensolver"):
+            replace(cfg, mass=1.0 / (1.001 * limit * dx**2))
 
 
 def test_sweep_uses_a_pool_of_usable_cpus_by_default(tmp_path, monkeypatch):
@@ -653,31 +679,6 @@ def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch, alphas
     assert [r.alpha for r in excinfo.value.records] == [2.0] * cfg.n_states
 
 
-def test_fail_fast_aborts_immediately(tmp_path, monkeypatch):
-    calls = []
-    real_solve = snwell.sweep.solve
-
-    def failing_solve(h, k):
-        calls.append(h.params.alpha)
-        if h.params.alpha == 1.0:
-            raise NumericalError("synthetic failure")
-        return real_solve(h, k)
-
-    monkeypatch.setattr(snwell.sweep, "solve", failing_solve)
-    cfg = SweepConfig(
-        alpha_values=(1.0, 2.0, 5.0),
-        outputs=frozenset({"observables"}),
-        output_dir=tmp_path,
-        fail_fast=True,
-        threads=1,
-        **SMALL,
-    )
-    with pytest.raises(SweepPointError):
-        run_sweep(cfg)
-    assert calls == [1.0]
-    assert not (tmp_path / "records.csv").exists()
-
-
 @pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads={t}")
 def test_fail_fast_starts_no_point_after_the_failure(tmp_path, monkeypatch, threads):
     calls = []
@@ -782,13 +783,18 @@ def _mirrored(values):
 @pytest.mark.parametrize(
     "values",
     [
-        _mirrored(np.array([[0.0, 1.5, -2.0e-300], [np.nan, 0.1, -0.0]])),  # odd width
-        np.array([[0.25, -1.0, -1.0, 0.25], [3.0, 0.0, 0.0, 3.0]]),  # even width
-        np.array([[1.0, 0.0, -0.0, 1.0]]),  # a mirror that == sees but the bits do not
-        np.array([[0.1, 2.0, np.nextafter(0.1, 1.0)]]),  # one bit off the mirror
-        np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
-        np.array([[1, 2, 1]]),  # integers print as floats
-        np.array([[7.5]]),
+        # odd width
+        pytest.param(_mirrored(np.array([[0.0, 1.5, -2.0e-300], [np.nan, 0.1, -0.0]])),
+                     id="values0"),
+        # even width
+        pytest.param(np.array([[0.25, -1.0, -1.0, 0.25], [3.0, 0.0, 0.0, 3.0]]), id="values1"),
+        # a mirror that == sees but the bits do not
+        pytest.param(np.array([[1.0, 0.0, -0.0, 1.0]]), id="values2"),
+        # one bit off the mirror
+        pytest.param(np.array([[0.1, 2.0, np.nextafter(0.1, 1.0)]]), id="values3"),
+        pytest.param(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), id="values4"),
+        pytest.param(np.array([[1, 2, 1]]), id="values5"),  # integers print as floats
+        pytest.param(np.array([[7.5]]), id="values6"),
     ],
 )
 def test_grid_rows_print_every_value_as_fmt(values):

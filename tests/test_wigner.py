@@ -42,7 +42,6 @@ from snwell.wigner import (
     _build_prefix_table,
     _correlation_matrix,
     _level_reach,
-    _levels,
     _prefix_table,
 )
 
@@ -101,6 +100,12 @@ def test_momentum_grid_invariants():
     assert pg.points[0] == -6.0 and pg.points[-1] == 6.0
     assert pg.points[299] == 0.0
     np.testing.assert_array_equal(pg.points[::-1], -pg.points)
+    # the |p| levels: 300 of them, 0.0 alone and each other one twice
+    assert pg.levels[0] == 0.0 and pg.levels.size == 300 and pg.counts.sum() == 599
+    np.testing.assert_array_equal(pg.levels[pg.columns], np.abs(pg.points))
+    for array in (pg.levels, pg.columns, pg.counts):
+        with pytest.raises(ValueError):
+            array[0] = 1
     with pytest.raises(ConfigurationError):
         make_momentum_grid(6.0, -6.0, 599)
     with pytest.raises(ConfigurationError):
@@ -244,8 +249,7 @@ def assert_paths_agree(fused, state, xg, pg, params):
     difference scales with the size of the terms, not with 1."""
     w = wigner_transform(state, xg, pg, params)
     field = nonreactive_probability(w, params)
-    levels, columns, _ = _levels(pg)
-    region = columns < _level_reach(xg, levels, params)[:, None]
+    region = pg.columns < _level_reach(xg, pg, params)[:, None]
     scale = float(np.sum(np.abs(w.values[region]))) * xg.dx * pg.dp
     assert abs(fused - field) <= 1e-14 * max(1.0, scale), (state.index, fused - field, scale)
 
@@ -264,7 +268,7 @@ def test_fused_probabilities_match_field_path(n, window):
     pg = MOMENTUM_WINDOWS[window](n)
     for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
         params = ModelParams(4.0, alpha)
-        stop = np.flatnonzero(_level_reach(grid, _levels(pg)[0], params))[-1] + 1
+        stop = np.flatnonzero(_level_reach(grid, pg, params))[-1] + 1
         if alpha == 0.5:  # V < 0 on the whole window: every row and offset is kept
             assert stop == n
         if alpha == 5.0:  # V <= 0 only up to x = 1.2: the offsets are trimmed too
@@ -281,7 +285,7 @@ def test_fused_probabilities_without_allowed_rows_are_zero(alpha):
     grid = make_grid(-1.0, 9.0, 149)
     pg = make_momentum_grid(5.0, 6.0, 149)
     params = ModelParams(4.0, alpha)
-    assert not _level_reach(grid, _levels(pg)[0], params).any()
+    assert not _level_reach(grid, pg, params).any()
     states = solve(assemble(params, grid), 3).states
     fused = nonreactive_probabilities(states, grid, pg, params)
     field = [
@@ -350,11 +354,11 @@ def test_momentum_symmetry_is_bitwise(alpha, n, pg):
 def test_level_reach_equals_the_hamiltonian_mask(mu, alpha, mass, a, width, n, pg):
     params = ModelParams(mu, alpha, mass=mass)
     xg = make_grid(a, a + width, n)
-    levels, columns, counts = _levels(pg)
+    levels, columns, counts = pg.levels, pg.columns, pg.counts
     with np.errstate(over="ignore", invalid="ignore"):
         h = pg.points[None, :] ** 2 / (2.0 * params.mass) + potential(params, xg.points[:, None])
         inside = h <= 0.0
-        reach = _level_reach(xg, levels, params)
+        reach = _level_reach(xg, pg, params)
     assert np.all(np.diff(levels) > 0) and set(counts.tolist()) <= {1, 2}
     np.testing.assert_array_equal(levels[columns], np.abs(pg.points))
     cells = np.concatenate(([0], np.cumsum(counts)))  # cells[r] = sum(counts[:r])
@@ -441,11 +445,11 @@ def test_fused_probabilities_grid_mismatch_rejected(deep_spectrum, momentum_grid
 def unblocked_probabilities(states, xg, pg, params):
     """The sheared sum of the module docstring over every a, l < stop in one
     piece, each sum over l taken term by term from l = 0 upward."""
-    reach = _level_reach(xg, _levels(pg)[0], params)
+    reach = _level_reach(xg, pg, params)
     stop = int(np.flatnonzero(reach)[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
-    prefix = _prefix_table(xg, pg, params.hbar)[1]
+    prefix = _prefix_table(xg, pg, params.hbar)
     region = np.zeros((lmax + 1, stop + lmax))  # region[l, j] = G[l, j - l]
     for l in range(lmax + 1):
         region[l, :stop] = prefix[l, reach[:stop]]
@@ -480,7 +484,7 @@ def test_blocked_probabilities_equal_the_unblocked_sum_bitwise(monkeypatch, alph
     pg = make_momentum_grid(-6.0, 6.0, 149)
     params = ModelParams(4.0, alpha)
     states = solve(assemble(params, grid), 5).states
-    stop = np.flatnonzero(_level_reach(grid, _levels(pg)[0], params))[-1] + 1
+    stop = np.flatnonzero(_level_reach(grid, pg, params))[-1] + 1
     first_rows = min(stop, (grid.n_points - 1) // 2 + 1)  # the offsets of the first block
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", first_rows * BLOCK_WIDTHS[blocks](stop))
     assert nonreactive_probabilities(states, grid, pg, params) == unblocked_probabilities(
@@ -559,17 +563,40 @@ def test_concurrent_probabilities_equal_serial_bitwise():
         sys.setswitchinterval(interval)
 
 
-def test_fused_probabilities_read_the_levels_from_the_cache(monkeypatch):
-    problem = probability_problem(599, 2.0)
-    expected = nonreactive_probabilities(*problem)  # caches the levels with the table
+def test_levels_are_read_from_the_momentum_grid(tmp_path, monkeypatch):
+    # make_momentum_grid runs the one np.unique of a grid; nothing after it runs another
+    states, xg, pg, params = probability_problem(149, 2.0)
+    cfg = dict(alpha_values=(2.0,), outputs=frozenset({"wigner", "probability"}),
+               n_points=149, n_states=5)
+    real_unique, calls = np.unique, []
 
-    def no_levels(pg):
-        raise AssertionError("the levels are recomputed")
+    def counted_unique(*args, **kwargs):
+        calls.append(args)
+        return real_unique(*args, **kwargs)
 
-    monkeypatch.setattr(snwell.wigner, "_levels", no_levels)
-    assert [p.hex() for p in nonreactive_probabilities(*problem)] == [p.hex() for p in expected]
-    levels = _prefix_table(problem[1], problem[2], problem[3].hbar)[0]
-    assert not levels.flags.writeable
+    def results(out):
+        _build_prefix_table.cache_clear()
+        fields = [wigner_transform(s, xg, pg, params) for s in states]
+        run_sweep(SweepConfig(output_dir=out, **cfg))
+        return ([w.values.tobytes() for w in fields],
+                [nonreactive_probability(w, params).hex() for w in fields],
+                [p.hex() for p in nonreactive_probabilities(states, xg, pg, params)],
+                {path.name: path.read_bytes() for path in sorted(out.iterdir())})
+
+    expected = results(tmp_path / "unpatched")
+    monkeypatch.setattr(np, "unique", counted_unique)
+    assert results(tmp_path / "patched") == expected
+    assert len(calls) == 1  # the grid run_sweep makes
+
+
+def test_probabilities_without_a_region_cell_build_no_table():
+    # mu = 0: V = (alpha / 3) x^3 > 0 on [1, 9], so no cell has H <= 0
+    grid, pg = make_grid(1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
+    params = ModelParams(0.0, 1.0)
+    states = solve(assemble(params, grid), 3).states
+    _build_prefix_table.cache_clear()
+    assert nonreactive_probabilities(states, grid, pg, params) == [0.0, 0.0, 0.0]
+    assert _build_prefix_table.cache_info().misses == 0
 
 
 # minor page faults per call of one thread's 20 calls after a warm-up
@@ -633,9 +660,9 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     expected = (prefactor * (_correlation_matrix(psi) @ cos_table))[:, columns]
     assert field.values.tobytes() == expected.tobytes()
     # a fresh build, not the cached one
-    built_levels, built_prefix = _build_prefix_table.__wrapped__(xg, pg, hbar)
-    assert built_prefix.tobytes() == prefix.tobytes()
-    assert built_levels.tobytes() == levels.tobytes()
+    assert _build_prefix_table.__wrapped__(xg, pg, hbar).tobytes() == prefix.tobytes()
+    assert pg.levels.tobytes() == levels.tobytes()
+    assert pg.columns.tolist() == columns.tolist()
 
 
 @pytest.mark.parametrize("window", sorted(MOMENTUM_WINDOWS))
@@ -643,14 +670,14 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
 def test_prefix_table_has_a_column_per_level_plus_one(n, window):
     xg = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
-    levels, prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+    prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
     if window == "asymmetric":
         columns = len(set(np.abs(pg.points).tolist())) + 1
         assert pg.n_points // 2 + 1 < columns <= pg.n_points + 1
     else:
         columns = (pg.n_points + 1) // 2 + 1
     assert prefix.shape == ((n - 1) // 2 + 1, columns)
-    assert levels.shape == (columns - 1,)
+    assert pg.levels.shape == (columns - 1,)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 75])
@@ -658,17 +685,15 @@ def test_prefix_table_does_not_depend_on_the_row_blocks(monkeypatch, rows):
     # L + 1 = 75 rows of 75 levels: one row per block, a ragged last block, one block
     xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", rows * 75)
-    levels, prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
-    _, expected_prefix, expected_levels, _ = reference_tables(xg, pg, 0.7)
-    assert prefix.tobytes() == expected_prefix.tobytes()
-    assert levels.tobytes() == expected_levels.tobytes()
+    prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
+    assert prefix.tobytes() == reference_tables(xg, pg, 0.7)[1].tobytes()
 
 
 def test_prefix_table_builds_without_the_cosine_table():
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
     tracemalloc.start()
     try:
-        _, prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+        prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -678,14 +703,11 @@ def test_prefix_table_builds_without_the_cosine_table():
 
 def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
     same_grids = (make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599))
-    entry = _prefix_table(saddle_grid, momentum_grid, 1.0)
-    levels, table = entry
-    assert _prefix_table(*same_grids, 1.0) is entry
-    assert _prefix_table(saddle_grid, momentum_grid, 2.0)[1] is not table
+    table = _prefix_table(saddle_grid, momentum_grid, 1.0)
+    assert _prefix_table(*same_grids, 1.0) is table
+    assert _prefix_table(saddle_grid, momentum_grid, 2.0) is not table
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        levels[0] = 1.0
 
 
 def test_phase_kernel_built_once_by_concurrent_callers():
@@ -733,7 +755,7 @@ def test_readme_prefix_table_size_matches_the_build():
     stated = re.search(r"table of\s+cosine prefix sums.*?([\d.]+) MB at N = N_p = 1201", readme,
                        re.DOTALL)
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
-    built = _build_prefix_table.__wrapped__(xg, pg, 1.0)[1].nbytes / 1e6
+    built = _build_prefix_table.__wrapped__(xg, pg, 1.0).nbytes / 1e6
     assert abs(float(stated.group(1)) - built) <= 0.1
 
 
@@ -742,12 +764,12 @@ def test_readme_contraction_shares_match_the_level_reach():
     stated = re.search(r"covers ([\d.]+) % of the\s+N \(L\+1\) table at alpha = 1, ([\d.]+) % at "
                        r"alpha = 5 and ([\d.]+) % over the 40-point\s+sweep", readme)
     n = 599
-    xg, levels = make_grid(-1.0, 9.0, n), _levels(make_momentum_grid(-6.0, 6.0, n))[0]
+    xg, pg = make_grid(-1.0, 9.0, n), make_momentum_grid(-6.0, 6.0, n)
     a, l = np.arange(n)[:, None], np.arange((n - 1) // 2 + 1)[None, :]
 
     def share(alpha):
         """The terms (a, l) with a + l < stop and a + 2l < N, over N (L + 1)."""
-        stop = np.flatnonzero(_level_reach(xg, levels, ModelParams(4.0, alpha)))[-1] + 1
+        stop = np.flatnonzero(_level_reach(xg, pg, ModelParams(4.0, alpha)))[-1] + 1
         return np.count_nonzero((a + l < stop) & (a + 2 * l < n)) / (a.size * l.size)
 
     sweep = np.mean([share(alpha) for alpha in np.linspace(1.0, 5.0, 40)])
