@@ -679,6 +679,31 @@ def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch, alphas
     assert [r.alpha for r in excinfo.value.records] == [2.0] * cfg.n_states
 
 
+def test_fail_fast_aborts_immediately(tmp_path, monkeypatch):
+    calls = []
+    real_solve = snwell.sweep.solve
+
+    def failing_solve(h, k):
+        calls.append(h.params.alpha)
+        if h.params.alpha == 1.0:
+            raise NumericalError("synthetic failure")
+        return real_solve(h, k)
+
+    monkeypatch.setattr(snwell.sweep, "solve", failing_solve)
+    cfg = SweepConfig(
+        alpha_values=(1.0, 2.0, 5.0),
+        outputs=frozenset({"observables"}),
+        output_dir=tmp_path,
+        fail_fast=True,
+        threads=1,
+        **SMALL,
+    )
+    with pytest.raises(SweepPointError):
+        run_sweep(cfg)
+    assert calls == [1.0]
+    assert not (tmp_path / "records.csv").exists()
+
+
 @pytest.mark.parametrize("threads", [1, 2], ids=lambda t: f"threads={t}")
 def test_fail_fast_starts_no_point_after_the_failure(tmp_path, monkeypatch, threads):
     calls = []
