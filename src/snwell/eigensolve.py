@@ -4,7 +4,10 @@ The heavy lifting is LAPACK bisection + inverse iteration on the symmetric
 tridiagonal matrix (dstebz then dstein, called in _lapack through the
 OpenBLAS that numpy already loads, or through scipy's eigh_tridiagonal where
 numpy's build does not export them), which is deterministic bit-for-bit for
-identical inputs and needs O(N k) memory.
+identical inputs and needs O(N k) memory.  The bisection stops at a loose
+tolerance, 2^-28 of the matrix scale, where the k + 1 lowest eigenvalues
+are well separated, and the energies are then the vectors' Rayleigh
+quotients; otherwise it runs to full precision (see _lapack).
 On top of that this module enforces the conventions every downstream
 consumer relies on:
 

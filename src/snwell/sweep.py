@@ -147,8 +147,9 @@ class SweepConfig:
             raise ConfigurationError(f"outputs must name at least one of {OUTPUT_KINDS}")
         # ModelParams checks alpha, mu, hbar and mass; V is a cubic, so on a finite
         # window it stays finite everywhere once it is finite at both ends.  The
-        # depth and the kinetic scale (the off-diagonal, which must be strictly
-        # negative) can still overflow or underflow though each part is finite.
+        # depth, the grid step and the kinetic scale (the off-diagonal, which must
+        # be strictly negative) can still overflow or underflow though each part
+        # is finite.
         ends = np.array(self.domain, dtype=float)
         for alpha in self.alpha_values:
             params = ModelParams(mu=self.mu, alpha=alpha, hbar=self.hbar, mass=self.mass)
@@ -161,14 +162,16 @@ class SweepConfig:
                 )
             _require_finite(f"the well depth 4 mu^(3/2) / (3 alpha^2) for alpha = {alpha}",
                             lambda: depth(params))
-        dx = (self.domain[1] - self.domain[0]) / (self.n_points - 1)
+        dx = _require_finite("the grid step (b - a) / (n_points - 1)",
+                             lambda: (self.domain[1] - self.domain[0]) / (self.n_points - 1))
         scale = _require_finite(f"the kinetic scale hbar^2 / (m dx^2) at dx = {dx!r}",
                                 lambda: self.hbar**2 / (self.mass * dx**2), positive=True)
         # LAPACK's dstebz squares the off-diagonal -scale / 2 (PIVMIN = SAFMIN
         # max(1, e^2)), and dstein's inverse iteration forms products of about
         # scale^2 (N - 2) (N - 1)^2 / pi; past the largest double they return an
         # error or NaN vectors.  scale^2 N^3 <= the largest double keeps both finite.
-        limit = math.sqrt(np.finfo(float).max) / self.n_points**1.5
+        limit = _require_finite("sqrt(largest double) / n_points^(3/2)",
+                                lambda: math.sqrt(np.finfo(float).max) / self.n_points**1.5)
         if scale > limit:
             raise ConfigurationError(
                 f"the kinetic scale hbar^2 / (m dx^2) = {scale!r} is above {limit!r}, "

@@ -322,6 +322,26 @@ def test_unusable_depth_or_kinetic_scale_exits_2(tmp_path, capsys, entries):
     assert_runs_exit_2(tmp_path, capsys, [flags, ["--config", str(cfg_file)]])
 
 
+# counts that no float holds, or whose N^(3/2) no float holds, checked before
+# any grid is allocated
+@pytest.mark.parametrize(
+    "entries",
+    [
+        f"alpha = 1\nn_points = 1{'0' * 400}\n",
+        f"alpha = 1\ndomain = -1e60 1e60\nn_points = 1{'0' * 210}\n",
+    ],
+    ids=["dx_overflows", "n_points_power_overflows"],
+)
+def test_n_points_too_large_for_a_float_exits_2(tmp_path, capsys, entries):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(entries)
+    flags = []
+    for line in entries.splitlines():
+        key, _, value = line.partition(" = ")
+        flags += [f"--{key.replace('_', '-')}", *value.split()]
+    assert_runs_exit_2(tmp_path, capsys, [flags, ["--config", str(cfg_file)]])
+
+
 def test_uncreatable_output_directory_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
