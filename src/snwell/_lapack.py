@@ -96,12 +96,10 @@ def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, k: int, abstol: float):
         from scipy.linalg import eigh_tridiagonal
     except ImportError as exc:
         raise ImportError("this numpy exports no LAPACK dstebz/dstein; install scipy") from exc
-    w = None
-    if k < d.size:
-        try:
-            w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, k), tol=abstol)
-        except ValueError:  # scipy's LinAlgError is a ValueError
-            pass
+    try:
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, k), tol=abstol)
+    except ValueError:  # scipy's LinAlgError, or k + 1 > n
+        w = None
     if _separated(w, k, abstol):
         return _rayleigh_quotients(d, e, v[:, :k]), v[:, :k]
     try:
@@ -155,6 +153,7 @@ def lowest_eigenpairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray,
         )
         return None if info[0] else w[: m[0]]
 
+    # with k + 1 > n, dstebz would print its illegal-argument message
     loose = _separated(bisect(k + 1, abstol) if k < n else None, k, abstol)
     if loose:
         # the top value is the last one, and dstein reads W and IBLOCK(1..M)
