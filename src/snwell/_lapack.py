@@ -16,7 +16,12 @@ integers, so they are called here through ctypes, without the cost of
 importing scipy, and the interpreter lock is released while LAPACK runs.
 Where numpy's library or either symbol is missing (conda or MKL builds),
 scipy.linalg.eigh_tridiagonal runs the same routines, with the same
-tolerance, guard and quotient, importing scipy on first use.
+tolerance, guard and quotient, importing scipy on first use.  A matrix that
+splits into blocks (an off-diagonal entry negligible against the diagonal,
+as for a heavy particle) comes back from dstebz block by block, not
+ascending, so the ctypes route falls back; eigh_tridiagonal sorts the blocks
+first and keeps its quotients.  The two routes are bitwise equal only where
+the matrix does not split.
 """
 
 from __future__ import annotations

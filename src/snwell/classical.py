@@ -82,7 +82,8 @@ def potential(params: ModelParams, x):
 
 def depth(params: ModelParams) -> float:
     """Well depth D = 4 mu^(3/2) / (3 alpha^2); zero exactly at the bifurcation."""
-    return 4.0 * params.mu**1.5 / (3.0 * params.alpha**2)
+    # correctly rounded operations only, not C's pow, so the exact scalings hold bitwise
+    return 4.0 * params.mu * math.sqrt(params.mu) / (3.0 * params.alpha * params.alpha)
 
 
 def harmonic_energy_estimate(params: ModelParams, n: int) -> float:

@@ -29,11 +29,10 @@ from snwell import (
     make_grid,
     make_momentum_grid,
     marginal_x,
-    moment,
     nonreactive_probability,
+    position_records,
     run_sweep,
     solve,
-    uncertainty,
     wigner_transform,
 )
 
@@ -54,14 +53,15 @@ def sweep20(saddle_grid):
     for alpha in np.linspace(1.0, 5.0, 20):
         params = ModelParams(4.0, float(alpha))
         s = solve(assemble(params, saddle_grid), 3)
+        means, widths = position_records(s.states, saddle_grid)
         rows.append(
             dict(
                 alpha=float(alpha),
                 depth=depth(params),
                 centre=2.0 * np.sqrt(4.0) / alpha,
                 energies=s.energies,
-                means=np.array([moment(st, saddle_grid, 1) for st in s.states]),
-                widths=np.array([uncertainty(st, saddle_grid) for st in s.states]),
+                means=means,
+                widths=widths,
             )
         )
     rows.sort(key=lambda r: r["depth"])

@@ -135,6 +135,54 @@ def test_fallback_is_the_full_precision_result_and_logs_once(monkeypatch, caplog
     assert record.levelno == logging.DEBUG and f"k = {k}:" in record.getMessage()
 
 
+# e[3] = 0 splits tridiag(e, d, e) into two blocks, and dstebz (ORDER = 'B')
+# returns their values block by block: not ascending
+SPLIT_D = np.array([2.0, 3.0, 5.0, 7.0, 0.5, 1.0, 2.5, 4.0])
+SPLIT_E = np.array([-1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0])
+
+
+def test_split_matrix_falls_back_on_the_ctypes_route(ctypes_route, caplog):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    caplog.set_level(logging.DEBUG, logger="snwell._lapack")
+    w, v = _lapack.lowest_eigenpairs(SPLIT_D, SPLIT_E, 3)
+    w_full, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i",
+                                                   select_range=(0, 2))
+    np.testing.assert_array_equal(w, w_full)
+    np.testing.assert_array_equal(v, v_full)
+    [record] = fallback_records(caplog)
+    assert "k = 3:" in record.getMessage()
+
+
+def test_split_matrix_keeps_the_loose_values_on_the_scipy_route(monkeypatch, caplog):
+    # eigh_tridiagonal sorts the blocks' values, so they pass the guard and the
+    # energies are Rayleigh quotients: close to the full-precision result, not bitwise
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    monkeypatch.setattr(_lapack, "_routines", lambda: None)
+    caplog.set_level(logging.DEBUG, logger="snwell._lapack")
+    w, v = _lapack.lowest_eigenpairs(SPLIT_D, SPLIT_E, 3)
+    w_full, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i",
+                                                   select_range=(0, 2))
+    scale = np.max(np.abs(SPLIT_D)) + 2.0 * np.max(np.abs(SPLIT_E))
+    np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-11 * scale)
+    np.testing.assert_allclose(v, v_full, rtol=0, atol=1e-9)
+    assert fallback_records(caplog) == []
+
+
+def test_heavy_particle_matrix_splits_and_solve_falls_back(ctypes_route, caplog):
+    # the off-diagonal -hbar^2 / (2 m dx^2) = -1.1e-18 is negligible against the
+    # diagonal, so dstebz splits the matrix and its loose values do not ascend
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    caplog.set_level(logging.DEBUG, logger="snwell._lapack")
+    h = assemble(ModelParams(4.0, 1.0, mass=1e20), make_grid(-1.0, 9.0, 149))
+    energies = solve(h, 5).energies
+    w_full, _ = scipy_linalg.eigh_tridiagonal(h.diagonal, h.off_diagonal, select="i",
+                                              select_range=(0, 4))
+    assert (np.diff(energies) > 0).all()
+    np.testing.assert_array_equal(energies, w_full)
+    [record] = fallback_records(caplog)
+    assert "k = 5:" in record.getMessage()
+
+
 def test_dstebz_info_raises_numerical_error(ctypes_route, deep_h):
     # more eigenvalues than rows: dstebz rejects IU (argument 7)
     with pytest.raises(NumericalError, match=r"dstebz failed \(info = -7\)") as excinfo:

@@ -35,7 +35,7 @@ def test_package_surface_is_the_pinned_list():
         "DiscreteHamiltonian", "SpatialGrid", "assemble", "make_grid",
         "EigenState", "Spectrum", "solve",
         "ConfigurationError", "NumericalError",
-        "moment", "position_records", "uncertainty",
+        "position_records",
         "SweepConfig", "SweepPointError", "SweepRecord", "emit_wigner_grid",
         "load_wigner_grid", "run_sweep",
         "MomentumGrid", "WignerField", "make_momentum_grid", "marginal_x",

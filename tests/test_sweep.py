@@ -28,7 +28,6 @@ from snwell import (
     load_wigner_grid,
     make_grid,
     make_momentum_grid,
-    moment,
     nonreactive_probabilities,
     nonreactive_probability,
     position_records,
@@ -245,9 +244,10 @@ def test_single_point_sweep_matches_direct_calls(tmp_path):
     spectrum = solve(assemble(params, grid), cfg.n_states)
     assert len(records) == cfg.n_states
     probs = nonreactive_probabilities(spectrum.states, grid, pgrid, params)
-    for rec, st, prob in zip(records, spectrum.states, probs):
+    means, sigmas = position_records(spectrum.states, grid)
+    for rec, st, prob, mean, sigma in zip(records, spectrum.states, probs, means, sigmas):
         assert rec.energy == st.energy
-        assert rec.mean_x == moment(st, grid, 1)
+        assert rec.mean_x == mean and rec.sigma_x == sigma
         w = wigner_transform(st, grid, pgrid, params)
         assert rec.nonreactive_prob == prob
         assert abs(rec.nonreactive_prob - nonreactive_probability(w, params)) <= 1e-14
