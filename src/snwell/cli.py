@@ -19,7 +19,9 @@ replaces both of the file's alpha keys.
 
 Exit status: 0 on full success, 1 if any sweep point failed or records.csv
 could not be written, 2 on a configuration problem in the file or the flags
-(argparse prints its usage and message for a flag).
+(a problem on a file line is named as FILE:LINE, with the flag parser's
+message for a value it rejects; argparse prints its usage and message for a
+flag).
 """
 
 from __future__ import annotations
@@ -115,13 +117,13 @@ def _directory(text: str) -> Path:
     return Path(text)
 
 
-def _fail_fast_token(text: str) -> list[str]:
+def _fail_fast_token(text: str, where: str) -> list[str]:
     lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
         return ["--fail-fast"]
     if lowered in ("false", "no", "0", "off"):
         return []
-    raise ConfigurationError(f"'fail_fast' must be a boolean, got {text!r}")
+    raise ConfigurationError(f"{where}: 'fail_fast' must be a boolean, got {text!r}")
 
 
 def _parse_config_entries(path: Path) -> argparse.Namespace:
@@ -134,7 +136,7 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
-    tokens, seen = [], set()
+    namespace, seen = parser.parse_args([]), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,20 +152,22 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         seen.add(key)
         nargs, flag = actions[key].nargs, actions[key].option_strings[0]
         if nargs == 0:
-            tokens += _fail_fast_token(value)
+            tokens = _fail_fast_token(value, f"{path}:{lineno}")
         elif nargs is None:
-            tokens.append(f"{flag}={value}")  # one value, even if it starts with '-'
+            tokens = [f"{flag}={value}"]  # one value, even if it starts with '-'
         elif len(value.split()) == nargs:
-            tokens += [flag, *value.split()]
+            tokens = [flag, *value.split()]
         else:  # extra parts could pass for other flags
             raise ConfigurationError(
                 f"{path}:{lineno}: '{key}' needs {nargs} values, got {value!r}")
-    try:
-        namespace, extra = parser.parse_known_args(tokens)
-    except argparse.ArgumentError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    if extra:
-        raise ConfigurationError(f"{path}: unexpected values {extra}")
+        # each line is parsed on its own into the one namespace, so that an
+        # error names its line and the alpha lines append to one list
+        try:
+            namespace, extra = parser.parse_known_args(tokens, namespace)
+        except argparse.ArgumentError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+        if extra:
+            raise ConfigurationError(f"{path}:{lineno}: unexpected values {extra}")
     return namespace
 
 

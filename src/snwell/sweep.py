@@ -8,10 +8,12 @@ computes them on a thread pool of min(threads, points) workers, threads
 defaulting to the CPUs this process may run on, or to 1 when the sweep
 writes Wigner files; one worker takes the points in order.  Workers
 overlap only where the interpreter lock is released: in the LAPACK calls
-(made through ctypes) and the probability kernel's np.take.  The kernel's
-einsum contraction, the Wigner text formatting and numpy calls on small
-arrays hold it, so the solve's checks, the position moments and the
-probability kernel each take all of a point's states in one array pass.
+(made through ctypes), the probability kernel's np.take and the cosines of
+the shared prefix table's build, whose row blocks every worker that needs
+the unfinished table builds.  The table's cumsum, the kernel's einsum
+contraction, the Wigner text formatting and numpy calls on small arrays
+hold it, so the solve's checks, the position moments and the probability
+kernel each take all of a point's states in one array pass.
 The probability kernel works in fixed-size blocks, and each pool thread
 keeps its one pair of block buffers and reuses it from point to point, so
 memory grows with the threads in use, not with the number of points.  A

@@ -54,13 +54,17 @@ agree with nonreactive_probability(wigner_transform(...)) to 1e-14 max(1, S),
 S = sum |rho| dx dp over the region cells (the sums run in a different order).
 
 Only nonreactive_probabilities reads a cached phase table: the level prefix
-table T (see _build_prefix_table), (L + 1) x (number of levels + 1)
-doubles, so (L + 1) x (ceil(n_p / 2) + 1) on a mirrored momentum grid,
-2.9 MB at N = n_p = 1201, built once per (x grid, p grid, hbar) in row
-blocks and shared by concurrent sweep points.  wigner_transform computes
-its (L + 1) x (number of levels) cosines on each call, 7 % of its time at
-N = 599 and 17 % at N = 2401, so a Wigner sweep, which takes its
-probabilities from the fields, holds no table.
+table T (see _PrefixBuild), (L + 1) x (number of levels + 1) doubles, so
+(L + 1) x (ceil(n_p / 2) + 1) on a mirrored momentum grid, 2.9 MB at
+N = n_p = 1201, built once per (x grid, p grid, hbar) and shared by
+concurrent sweep points.  Its build is cooperative: the cache entry holds
+the table and its unbuilt row blocks, every sweep point that finds the
+table unfinished builds blocks that no other has claimed, and it waits
+only for the blocks others are still building.  The cosines release the
+interpreter lock, so two workers build them at once; the cumsum holds it.
+wigner_transform computes its (L + 1) x (number of levels) cosines on each
+call, 7 % of its time at N = 599 and 17 % at N = 2401, so a Wigner sweep,
+which takes its probabilities from the fields, holds no table.
 """
 
 from __future__ import annotations
@@ -138,7 +142,9 @@ class WignerField:
     momentum_grid: MomentumGrid
 
 
-_kernel_lock = threading.Lock()
+# guards the prefix-table cache and every entry's block bookkeeping; callers
+# wait on it for the blocks that others are building
+_kernel_lock = threading.Condition()
 # each thread's nonreactive_probabilities block buffers, freed when it exits
 _blocks = threading.local()
 
@@ -156,36 +162,86 @@ def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float) -> np.ndarray:
 
 
 def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """The cached prefix table; sweep points that start together wait for one build."""
+    """The cached prefix table (see _PrefixBuild), complete and read-only.
+
+    Sweep points that start together share its build: each caller that
+    finds the table unfinished builds row blocks nobody has claimed, and
+    waits only when none is left, so every caller returns the same array.
+    """
     with _kernel_lock:
-        return _build_prefix_table(xg, pg, hbar)
+        build = _prefix_build(xg, pg, hbar)
+    return build.table_when_built()
 
 
-@functools.lru_cache(maxsize=4)
-def _build_prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
-    """prefix[l, r] = c_l times the sum over the levels i < r of
+class _PrefixBuild:
+    """The prefix table and its row blocks not yet built.
+
+    table[l, r] = c_l times the sum over the levels i < r of
     m_i cos(eta_l q_i / hbar), q = pg.levels and m = pg.counts,
     (L + 1) x (len(q) + 1), with the correlation weights c_0 = 1, c_l = 2
-    folded in (exact, as is m_i); read-only, so concurrent sweep points can
-    share it.
+    folded in (exact, as is m_i); read-only once built, so concurrent sweep
+    points can share it.
 
-    Built in blocks of rows of about _BLOCK_DOUBLES entries: each block's
-    cosines go into a scratch array, which is weighted straight into the
-    prefix buffer and summed there.  Each entry and each row's sum is
-    computed the same way whatever the block size, so the table does not
-    depend on it.
+    Built in blocks of rows of about _BLOCK_DOUBLES entries, in any order
+    and by any callers (see _prefix_table), each block in place in the
+    table with no scratch array: eta_l q_i / hbar, its cosine, times 2 m_i,
+    summed along the row, and row 0 halved (both factors of 2 exact).  Each
+    entry and each row's sum is computed the same way whatever the block
+    size or the caller that builds it, so the table does not depend on
+    them.  A block whose build raises is returned for a later caller to
+    build.
     """
-    lmax = (xg.n_points - 1) // 2
-    eta = 2.0 * xg.dx * np.arange(lmax + 1)
-    prefix = np.zeros((lmax + 1, pg.levels.size + 1))
-    rows = max(1, _BLOCK_DOUBLES // pg.levels.size)
-    for l0 in range(0, lmax + 1, rows):
-        block = prefix[l0 : l0 + rows, 1:]
-        np.multiply(_cos_rows(eta[l0 : l0 + rows], pg.levels, hbar), pg.counts, out=block)
+
+    def __init__(self, xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> None:
+        lmax = (xg.n_points - 1) // 2
+        self.eta = 2.0 * xg.dx * np.arange(lmax + 1)
+        # column 0 as a level 0.0 of weight 0.0: its entries are cos(0) * 0.0 =
+        # +0.0, and the row sums' 0.0 + x is x (a cosine is never 0, so no x
+        # is -0.0); so each block is whole rows, one contiguous array
+        self.levels = np.concatenate(([0.0], pg.levels))
+        self.weights = np.concatenate(([0.0], 2.0 * pg.counts))
+        self.hbar = hbar
+        self.rows = max(1, _BLOCK_DOUBLES // pg.levels.size)
+        self.table = np.empty((lmax + 1, self.levels.size))
+        self.unclaimed = list(range(0, lmax + 1, self.rows))  # first rows of free blocks
+        self.unbuilt = len(self.unclaimed)  # blocks unclaimed or being built
+
+    def build_rows(self, l0: int) -> None:
+        """Build the block of rows from l0 in place."""
+        block = self.table[l0 : l0 + self.rows]
+        np.outer(self.eta[l0 : l0 + self.rows], self.levels, out=block)
+        block /= self.hbar
+        np.cos(block, out=block)
+        block *= self.weights
         np.cumsum(block, axis=1, out=block)
-        prefix[max(l0, 1) : l0 + rows] *= 2.0
-    prefix.flags.writeable = False
-    return prefix
+        if l0 == 0:
+            block[0] *= 0.5
+
+    def table_when_built(self) -> np.ndarray:
+        """Build unclaimed blocks until none is left, then wait for the rest."""
+        while True:
+            with _kernel_lock:
+                while self.unbuilt and not self.unclaimed:
+                    _kernel_lock.wait()
+                if not self.unbuilt:
+                    return self.table
+                l0 = self.unclaimed.pop()
+            try:
+                self.build_rows(l0)
+            except BaseException:
+                with _kernel_lock:
+                    self.unclaimed.append(l0)
+                    _kernel_lock.notify_all()
+                raise
+            with _kernel_lock:
+                self.unbuilt -= 1
+                if not self.unbuilt:
+                    self.table.flags.writeable = False
+                    _kernel_lock.notify_all()
+
+
+# the one cache: an entry per (x grid, p grid, hbar), made under _kernel_lock
+_prefix_build = functools.lru_cache(maxsize=4)(_PrefixBuild)
 
 
 def _correlation_matrix(psi: np.ndarray) -> np.ndarray:

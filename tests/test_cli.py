@@ -49,6 +49,22 @@ def test_import_loads_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_fresh_threaded_probability_sweep_completes(tmp_path):
+    # a fresh process: its three workers share the prefix table's first build
+    env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]),
+               PYTHONWARNINGS="error")
+    trees = {}
+    for threads in ("3", "1"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "snwell.cli", "--alpha-range", "1", "5", "3", "--outputs",
+             "probability", "--n-points", "149", "--threads", threads, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        trees[threads] = (out / "records.csv").read_bytes()
+    assert trees["3"] == trees["1"]
+
+
 def test_figure_script_runs_are_valid_configs(tmp_path):
     script = Path(__file__).parents[1] / "scripts" / "figure_data.sh"
     lines = script.read_text(encoding="utf-8").replace("\\\n", " ").splitlines()
@@ -149,6 +165,10 @@ def test_config_file_alpha_range(tmp_path):
         "out =\n",
         "mu = 4\n# a comment\n\nmystery = 1\n",
         "mu = 4\n\ndomain = 1\n",
+        "n_points = 1.5\n",
+        "alpha = 1\nalpha = x\n",
+        "alpha = 1\n\nalpha = 2\nalpha = 3 4\n",
+        "mu = 4\nthreads = two\n",
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
@@ -163,6 +183,24 @@ def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
         assert f"{cfg_file}:{BAD_LINES[content]}: " in err
 
 
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        ("n_points = 1.5\n", "1: argument --n-points: invalid int value: '1.5'"),
+        ("alpha = 1\nalpha = x\nalpha = 2\n", "2: argument --alpha: invalid float value: 'x'"),
+        ("mu = 4\ndomain = -x 9\n", "2: argument --domain: expected 2 arguments"),
+    ],
+    ids=["int_flag", "second_alpha_line", "window_flag"],
+)
+def test_rejected_config_value_names_its_line_with_the_parser_message(
+        tmp_path, capsys, content, message):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(content)
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {cfg_file}:{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # the inputs whose error names the file and the bad line, counting every line
 BAD_LINES = {
     "mystery = 1\n": 1,
@@ -174,6 +212,12 @@ BAD_LINES = {
     "config = other.cfg\n": 1,
     "mu = 4\n# a comment\n\nmystery = 1\n": 4,
     "mu = 4\n\ndomain = 1\n": 3,
+    "n_points = many\n": 1,
+    "fail_fast = maybe\n": 1,
+    "n_points = 1.5\n": 1,
+    "alpha = 1\nalpha = x\n": 2,
+    "alpha = 1\n\nalpha = 2\nalpha = 3 4\n": 4,
+    "mu = 4\nthreads = two\n": 2,
 }
 
 

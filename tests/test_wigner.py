@@ -39,10 +39,11 @@ from snwell import (
 import snwell.wigner
 from snwell.eigensolve import EigenState
 from snwell.wigner import (
-    _build_prefix_table,
     _correlation_matrix,
     _level_reach,
+    _prefix_build,
     _prefix_table,
+    _PrefixBuild,
 )
 
 from conftest import fd_hamiltonian
@@ -575,7 +576,7 @@ def test_levels_are_read_from_the_momentum_grid(tmp_path, monkeypatch):
         return real_unique(*args, **kwargs)
 
     def results(out):
-        _build_prefix_table.cache_clear()
+        _prefix_build.cache_clear()
         fields = [wigner_transform(s, xg, pg, params) for s in states]
         run_sweep(SweepConfig(output_dir=out, **cfg))
         return ([w.values.tobytes() for w in fields],
@@ -594,9 +595,9 @@ def test_probabilities_without_a_region_cell_build_no_table():
     grid, pg = make_grid(1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
     params = ModelParams(0.0, 1.0)
     states = solve(assemble(params, grid), 3).states
-    _build_prefix_table.cache_clear()
+    _prefix_build.cache_clear()
     assert nonreactive_probabilities(states, grid, pg, params) == [0.0, 0.0, 0.0]
-    assert _build_prefix_table.cache_info().misses == 0
+    assert _prefix_build.cache_info().misses == 0
 
 
 # minor page faults per call of one thread's 20 calls after a warm-up
@@ -625,6 +626,11 @@ def test_probability_kernel_takes_no_fresh_pages():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) <= 2.0
+
+
+def fresh_prefix_table(xg, pg, hbar):
+    """The prefix table of a new cache entry, built on this thread alone."""
+    return _prefix_build.__wrapped__(xg, pg, hbar).table_when_built()
 
 
 def reference_tables(xg, pg, hbar):
@@ -660,7 +666,7 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
     expected = (prefactor * (_correlation_matrix(psi) @ cos_table))[:, columns]
     assert field.values.tobytes() == expected.tobytes()
     # a fresh build, not the cached one
-    assert _build_prefix_table.__wrapped__(xg, pg, hbar).tobytes() == prefix.tobytes()
+    assert fresh_prefix_table(xg, pg, hbar).tobytes() == prefix.tobytes()
     assert pg.levels.tobytes() == levels.tobytes()
     assert pg.columns.tolist() == columns.tolist()
 
@@ -670,7 +676,7 @@ def test_phase_kernel_prefix_is_the_cumsum_of_the_full_table(n, window, hbar):
 def test_prefix_table_has_a_column_per_level_plus_one(n, window):
     xg = make_grid(-1.0, 9.0, n)
     pg = MOMENTUM_WINDOWS[window](n)
-    prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+    prefix = fresh_prefix_table(xg, pg, 1.0)
     if window == "asymmetric":
         columns = len(set(np.abs(pg.points).tolist())) + 1
         assert pg.n_points // 2 + 1 < columns <= pg.n_points + 1
@@ -685,7 +691,7 @@ def test_prefix_table_does_not_depend_on_the_row_blocks(monkeypatch, rows):
     # L + 1 = 75 rows of 75 levels: one row per block, a ragged last block, one block
     xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", rows * 75)
-    prefix = _build_prefix_table.__wrapped__(xg, pg, 0.7)
+    prefix = fresh_prefix_table(xg, pg, 0.7)
     assert prefix.tobytes() == reference_tables(xg, pg, 0.7)[1].tobytes()
 
 
@@ -693,12 +699,15 @@ def test_prefix_table_builds_without_the_cosine_table():
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
     tracemalloc.start()
     try:
-        prefix = _build_prefix_table.__wrapped__(xg, pg, 1.0)
+        prefix = fresh_prefix_table(xg, pg, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # one 256 KB block of cosines and O(N) vectors; a whole half table is 2.9 MB
     assert peak <= prefix.nbytes + 1e6
+    # each block's cosines are computed in the table: no 0.26 MB scratch block
+    # (0.40 MB above the table with one, 0.14 MB without, numpy's buffers)
+    assert peak <= prefix.nbytes + 0.25e6
 
 
 def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
@@ -710,10 +719,50 @@ def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
         table[0, 0] = 0.0
 
 
-def test_phase_kernel_built_once_by_concurrent_callers():
+def recording_block_builds(monkeypatch, before=None):
+    """Patch _PrefixBuild.build_rows to record (thread, first row) of each
+    block it builds, after calling before(thread, first row) if given."""
+    built, lock = [], threading.Lock()
+    build_rows = _PrefixBuild.build_rows
+
+    def recorded(build, l0):
+        if before is not None:
+            before(threading.get_ident(), l0)
+        build_rows(build, l0)
+        with lock:
+            built.append((threading.get_ident(), l0))
+
+    monkeypatch.setattr(_PrefixBuild, "build_rows", recorded)
+    return built
+
+
+def call_on_threads(function, callers):
+    """function() on each of callers new threads, joined under a timeout:
+    each thread's result or exception, and the threads."""
+    outcomes = [None] * callers
+
+    def run(i):
+        try:
+            outcomes[i] = function()
+        except BaseException as exc:  # noqa: BLE001 -- the test inspects it
+            outcomes[i] = exc
+
+    # daemon threads, so that a caller left waiting cannot keep the session alive
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return outcomes
+
+
+def test_phase_kernel_built_once_by_concurrent_callers(monkeypatch):
     grid = make_grid(-1.0, 9.0, 301)
     pg = make_momentum_grid(-6.0, 6.0, 301)
-    _build_prefix_table.cache_clear()
+    monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", 10 * 151)  # 16 blocks of 10 rows
+    built = recording_block_builds(monkeypatch)
+    _prefix_build.cache_clear()
     start = threading.Barrier(6)
     tables = []
 
@@ -734,7 +783,84 @@ def test_phase_kernel_built_once_by_concurrent_callers():
     assert not any(t.is_alive() for t in threads)
     assert len(tables) == 6
     assert all(p is tables[0] for p in tables)
-    assert _build_prefix_table.cache_info().misses == 1
+    assert _prefix_build.cache_info().misses == 1
+    assert sorted(l0 for _, l0 in built) == list(range(0, 151, 10))
+
+
+@pytest.mark.parametrize("callers", [2, 5], ids=["two_callers", "five_callers"])
+def test_concurrent_callers_share_the_prefix_build(monkeypatch, callers):
+    # L + 1 = 75 rows of 75 levels in 25 blocks of 3 rows; every caller's first
+    # block waits at the barrier until each caller is building one
+    xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
+    monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", 3 * 75)
+    all_building, first_blocks = threading.Barrier(callers), set()
+
+    def meet_once(thread, l0):
+        if thread not in first_blocks:
+            first_blocks.add(thread)
+            all_building.wait(timeout=10)
+
+    built = recording_block_builds(monkeypatch, meet_once)
+    _prefix_build.cache_clear()
+    tables = call_on_threads(lambda: _prefix_table(xg, pg, 0.7), callers)
+    assert all(table is tables[0] for table in tables)
+    assert not tables[0].flags.writeable
+    assert tables[0].tobytes() == reference_tables(xg, pg, 0.7)[1].tobytes()
+    assert sorted(l0 for _, l0 in built) == list(range(0, 75, 3))  # each block once
+    assert len({thread for thread, _ in built}) == callers
+    assert _prefix_build.cache_info().misses == 1
+
+
+class CountedCondition(threading.Condition):
+    """A condition that counts the threads waiting on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.waiting = 0
+        self.changed = threading.Condition()
+
+    def wait(self, timeout=None):
+        with self.changed:
+            self.waiting += 1
+            self.changed.notify_all()
+        try:
+            return super().wait(timeout)
+        finally:
+            with self.changed:
+                self.waiting -= 1
+
+
+@pytest.mark.parametrize("callers", [1, 4], ids=["alone", "among_four"])
+def test_a_failed_prefix_block_is_built_by_a_later_caller(monkeypatch, callers):
+    # the first block raises once, when every other caller has built the other
+    # blocks and waits for it; its block goes back, and they finish the table
+    xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
+    monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", 3 * 75)
+    lock = CountedCondition()
+    monkeypatch.setattr(snwell.wigner, "_kernel_lock", lock)
+    failed, first = [], threading.Lock()
+
+    def fail_once(thread, l0):
+        with first:
+            if failed:
+                return
+            failed.append(l0)
+        with lock.changed:
+            assert lock.changed.wait_for(lambda: lock.waiting == callers - 1, timeout=10)
+        raise MemoryError("injected")
+
+    built = recording_block_builds(monkeypatch, fail_once)
+    _prefix_build.cache_clear()
+    outcomes = call_on_threads(lambda: _prefix_table(xg, pg, 1.0), callers)
+    raised = [o for o in outcomes if isinstance(o, BaseException)]
+    assert len(raised) == 1 and str(raised[0]) == "injected"
+    [table] = call_on_threads(lambda: _prefix_table(xg, pg, 1.0), 1)  # the next call
+    assert all(o is table for o in outcomes if o is not raised[0])
+    assert not table.flags.writeable
+    assert table.tobytes() == reference_tables(xg, pg, 1.0)[1].tobytes()
+    assert sorted(l0 for _, l0 in built) == list(range(0, 75, 3))  # each block once
+    assert failed[0] in [l0 for _, l0 in built]
+    assert _prefix_build.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
@@ -744,10 +870,10 @@ def test_phase_kernel_built_once_by_concurrent_callers():
 )
 def test_sweep_builds_only_the_table_it_reads(tmp_path, outputs, builds):
     # a Wigner sweep takes its probabilities from the fields
-    _build_prefix_table.cache_clear()
+    _prefix_build.cache_clear()
     run_sweep(SweepConfig(alpha_values=(1.0, 2.0), outputs=frozenset(outputs.split(",")),
                           output_dir=tmp_path, n_points=149, n_states=2))
-    assert _build_prefix_table.cache_info().misses == builds
+    assert _prefix_build.cache_info().misses == builds
 
 
 def test_readme_prefix_table_size_matches_the_build():
@@ -755,7 +881,7 @@ def test_readme_prefix_table_size_matches_the_build():
     stated = re.search(r"table of\s+cosine prefix sums.*?([\d.]+) MB at N = N_p = 1201", readme,
                        re.DOTALL)
     xg, pg = make_grid(-1.0, 9.0, 1201), make_momentum_grid(-6.0, 6.0, 1201)
-    built = _build_prefix_table.__wrapped__(xg, pg, 1.0).nbytes / 1e6
+    built = fresh_prefix_table(xg, pg, 1.0).nbytes / 1e6
     assert abs(float(stated.group(1)) - built) <= 0.1
 
 
