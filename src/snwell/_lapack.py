@@ -7,21 +7,16 @@ lowest k vectors, and each energy is the Rayleigh quotient psi^T T psi /
 psi^T psi of its own vector: its error is quadratic in the vector's, and it
 minimizes the residual (Parlett, The Symmetric Eigenvalue Problem, 1998).
 The loose bisection is kept only where its k + 1 values come back ascending
-with every gap above 1e3 ABSTOL; otherwise (k + 1 > n included) the k
-values are bisected to full precision (ABSTOL = 0) and returned as they
-are, with one DEBUG record.
+with every gap above 1e3 ABSTOL; otherwise (k + 1 > n, or a matrix that
+splits into blocks, whose values come back block by block) the k values are
+bisected to full precision (ABSTOL = 0) and returned as they are, with one
+DEBUG record.
 
 The OpenBLAS bundled with numpy's wheels exports both routines with 64-bit
-integers, so they are called here through ctypes, without the cost of
-importing scipy, and the interpreter lock is released while LAPACK runs.
-Where numpy's library or either symbol is missing (conda or MKL builds),
-scipy.linalg.eigh_tridiagonal runs the same routines, with the same
-tolerance, guard and quotient, importing scipy on first use.  A matrix that
-splits into blocks (an off-diagonal entry negligible against the diagonal,
-as for a heavy particle) comes back from dstebz block by block, not
-ascending, so the ctypes route falls back; eigh_tridiagonal sorts the blocks
-first and keeps its quotients.  The two routes are bitwise equal only where
-the matrix does not split.
+integers; called through ctypes, they cost no scipy import, and the
+interpreter lock is released while LAPACK runs.  Where numpy's library or
+either symbol is missing (conda or MKL builds), scipy.linalg.lapack's
+wrappers of the same routines serve instead, with the same results.
 """
 
 from __future__ import annotations
@@ -46,9 +41,12 @@ _INT = ctypes.c_int64
 _DOUBLE = ctypes.c_double
 
 
-@functools.cache
-def _routines():
-    """(dstebz, dstein) from the LAPACK that numpy loads, or None where it is not there."""
+def _in(ctype, value):
+    return ctypes.byref(ctype(value))
+
+
+def _ctypes_routines():
+    """(stebz, stein) through the LAPACK that numpy loads, or None where it is not there."""
     try:
         from numpy._core import _multiarray_umath
 
@@ -63,11 +61,61 @@ def _routines():
     dstebz.argtypes = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2
     dstein.argtypes = [ctypes.c_void_p] * 13
     dstebz.restype = dstein.restype = None
-    return dstebz, dstein
+
+    def stebz(d, e, count, tol):
+        n, m, info = d.size, _INT(), _INT()
+        w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
+        # RANGE = 'I' (indices 1..count); VL and VU are unused
+        dstebz(
+            b"I", b"B", _in(_INT, n), _in(_DOUBLE, 0.0), _in(_DOUBLE, 1.0), _in(_INT, 1),
+            _in(_INT, count), _in(_DOUBLE, tol), d.ctypes.data, e.ctypes.data, ctypes.byref(m),
+            _in(_INT, 0), w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+            work.ctypes.data, iwork.ctypes.data, ctypes.byref(info), 1, 1,
+        )
+        return w[: m.value], iblock, isplit, info.value
+
+    def stein(d, e, w, iblock, isplit):
+        n, info = d.size, _INT()
+        z, ifail = np.empty((n, w.size), order="F"), np.zeros(w.size, dtype=np.int64)
+        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int64)
+        dstein(
+            _in(_INT, n), d.ctypes.data, e.ctypes.data, _in(_INT, w.size), w.ctypes.data,
+            iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, _in(_INT, n),
+            work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, ctypes.byref(info),
+        )
+        return z, info.value, ifail
+
+    return stebz, stein
 
 
-def _in(ctype, value):
-    return ctypes.byref(ctype(value))
+def _scipy_routines():
+    """(stebz, stein) through scipy's wrappers, whose dstein keeps IFAIL to itself."""
+    try:
+        from scipy.linalg.lapack import dstebz, dstein
+    except ImportError as exc:
+        raise ImportError("this numpy exports no LAPACK dstebz/dstein; install scipy") from exc
+
+    def stebz(d, e, count, tol):
+        m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, count, tol, "B")  # 2: 'I'
+        return w[:m], iblock, isplit, info
+
+    def stein(d, e, w, iblock, isplit):
+        return (*dstein(d, e, w, iblock, isplit), None)
+
+    return stebz, stein
+
+
+@functools.cache
+def _routines():
+    """(stebz, stein) from numpy's LAPACK, else from scipy's (importing scipy).
+
+    stebz(d, e, count, tol) -> (w, iblock, isplit, info) bisects the count
+    lowest eigenvalues to ABSTOL = tol, block by block (ORDER = 'B', as
+    dstein needs); stein(d, e, w, iblock, isplit) -> (z, info, ifail)
+    computes their vectors, with ifail None where the source hides it.
+    """
+    return _ctypes_routines() or _scipy_routines()
 
 
 def _rayleigh_quotients(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -95,37 +143,18 @@ def _separated(w: np.ndarray | None, k: int, abstol: float) -> bool:
     return False
 
 
-def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray, k: int, abstol: float):
-    """The same tolerance, guard and quotient through scipy's eigh_tridiagonal."""
-    try:
-        from scipy.linalg import eigh_tridiagonal
-    except ImportError as exc:
-        raise ImportError("this numpy exports no LAPACK dstebz/dstein; install scipy") from exc
-    try:
-        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, k), tol=abstol)
-    except ValueError:  # scipy's LinAlgError, or k + 1 > n
-        w = None
-    if _separated(w, k, abstol):
-        return _rayleigh_quotients(d, e, v[:, :k]), v[:, :k]
-    try:
-        return eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    except ValueError as exc:
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-
-
 def lowest_eigenpairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues (ascending) and eigenvectors (columns) of tridiag(e, d, e).
 
-    Bitwise equal to the lowest k columns of eigh_tridiagonal(d, e, select="i",
-    select_range=(0, k), tol=ABSTOL) and their Rayleigh quotients, where the
-    guard holds, and to eigh_tridiagonal(d, e, select="i",
-    select_range=(0, k - 1)) where it falls back.
+    Bitwise equal, from either source, to the lowest k columns of
+    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k),
+    tol=ABSTOL) and their Rayleigh quotients where the guard holds, and to
+    its select_range=(0, k - 1) at ABSTOL = 0 where it falls back.
     Raises ValueError when the shapes do not fit, and NumericalError on a
     non-finite entry or when either routine reports a nonzero info; a vector
-    dstein could not converge carries its state index.
+    numpy's dstein could not converge carries its state index.
     """
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
+    d, e = (np.ascontiguousarray(a, dtype=np.float64) for a in (d, e))
     n = d.size
     if d.ndim != 1 or e.shape != (n - 1,):
         raise ValueError(f"need n diagonal, n - 1 off-diagonal entries: got {d.shape}, {e.shape}")
@@ -133,51 +162,21 @@ def lowest_eigenpairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray,
         raise NumericalError("tridiagonal matrix has a non-finite entry")
     # the scale solve checks residuals against, times a power of 2
     abstol = TOL_FACTOR * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
-    routines = _routines()
-    if routines is None:
-        return _eigh_tridiagonal(d, e, k, abstol)
-    dstebz, dstein = routines
-    w = np.empty(n)
-    iblock = np.empty(n, dtype=np.int64)
-    isplit = np.empty(n, dtype=np.int64)
-    work = np.empty(5 * n)  # dstebz needs 4n, dstein 5n
-    iwork = np.empty(3 * n, dtype=np.int64)  # dstebz needs 3n, dstein n
-    d_, e_, w_, iblock_, isplit_, work_, iwork_ = (
-        a.ctypes.data for a in (d, e, w, iblock, isplit, work, iwork)
-    )
-    n_ = _in(_INT, n)
-    m, info = ctypes.pointer(_INT()), ctypes.pointer(_INT())  # outputs
-
-    def bisect(count: int, tol: float) -> np.ndarray | None:
-        # RANGE = 'I' (indices 1..count), ORDER = 'B' (by split block, as
-        # dstein needs); VL and VU are unused
-        dstebz(
-            b"I", b"B", n_, _in(_DOUBLE, 0.0), _in(_DOUBLE, 1.0), _in(_INT, 1), _in(_INT, count),
-            _in(_DOUBLE, tol), d_, e_, m, _in(_INT, 0), w_, iblock_, isplit_,
-            work_, iwork_, info, 1, 1,
-        )
-        return None if info[0] else w[: m[0]]
-
+    stebz, stein = _routines()
     # with k + 1 > n, dstebz would print its illegal-argument message
-    loose = _separated(bisect(k + 1, abstol) if k < n else None, k, abstol)
+    w, iblock, isplit, info = stebz(d, e, k + 1, abstol) if k < n else (None,) * 4
+    loose = _separated(None if info else w, k, abstol)
     if loose:
-        # the top value is the last one, and dstein reads W and IBLOCK(1..M)
-        m[0] = k
+        w = w[:k]  # the top value is the last one
     else:
-        bisect(k, 0.0)  # ABSTOL = 0: LAPACK's default, full precision
-        if info[0]:
-            raise NumericalError(f"LAPACK dstebz failed (info = {info[0]})")
-    w = w[: m[0]]
-    z = np.empty((n, w.size), order="F")
-    ifail = np.zeros(w.size, dtype=np.int64)
-    dstein(
-        n_, d_, e_, m, w_, iblock_, isplit_, z.ctypes.data, n_, work_, iwork_,
-        ifail.ctypes.data, info,
-    )
-    order = np.argsort(w)  # block order to matrix order, as eigh_tridiagonal does
-    if info[0]:
-        failed = int(np.flatnonzero(order == ifail[0] - 1)[0]) if info[0] > 0 else None
-        raise NumericalError(f"LAPACK dstein failed (info = {info[0]})", state_index=failed)
+        w, iblock, isplit, info = stebz(d, e, k, 0.0)  # ABSTOL = 0: LAPACK's default
+        if info:
+            raise NumericalError(f"LAPACK dstebz failed (info = {info})")
+    z, info, ifail = stein(d, e, w, iblock, isplit)
+    order = np.argsort(w)  # block order to matrix order
+    if info:
+        failed = None if info < 0 or ifail is None else int(np.argsort(order)[ifail[0] - 1])
+        raise NumericalError(f"LAPACK dstein failed (info = {info})", state_index=failed)
     if loose:  # w ascends, so the columns are in matrix order already
         return _rayleigh_quotients(d, e, z), z
     return w[order], z[:, order]

@@ -154,9 +154,10 @@ _blocks = threading.local()
 _BLOCK_DOUBLES = 1 << 15
 
 
-def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float) -> np.ndarray:
-    """cos(eta_l q_i / hbar) for the given rows l and momentum levels q_i >= 0."""
-    table = np.outer(eta, levels)
+def _cos_rows(eta: np.ndarray, levels: np.ndarray, hbar: float, out=None) -> np.ndarray:
+    """cos(eta_l q_i / hbar) for the given rows l and momentum levels q_i >= 0,
+    in out where given."""
+    table = np.outer(eta, levels, out=out)
     table /= hbar
     return np.cos(table, out=table)
 
@@ -209,9 +210,7 @@ class _PrefixBuild:
     def build_rows(self, l0: int) -> None:
         """Build the block of rows from l0 in place."""
         block = self.table[l0 : l0 + self.rows]
-        np.outer(self.eta[l0 : l0 + self.rows], self.levels, out=block)
-        block /= self.hbar
-        np.cos(block, out=block)
+        _cos_rows(self.eta[l0 : l0 + self.rows], self.levels, self.hbar, out=block)
         block *= self.weights
         np.cumsum(block, axis=1, out=block)
         if l0 == 0:

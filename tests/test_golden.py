@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snwell import SweepConfig, run_sweep
+from snwell import SweepConfig, _lapack, run_sweep
 
 GOLDEN = Path(__file__).with_name("golden")
 ENVIRONMENT = GOLDEN / "environment.json"
@@ -134,8 +134,8 @@ def column_differences(new: Path, old: Path) -> dict[str, float]:
     return report
 
 
-@pytest.mark.parametrize("name", sorted(TREES))
-def test_sweep_tree_matches_its_golden_copy(tmp_path, name):
+def assert_matches_golden(tmp_path: Path, name: str) -> None:
+    """Write the tree `name` into tmp_path and compare it with its golden copy."""
     golden = GOLDEN / name
     run_sweep(SweepConfig(output_dir=tmp_path, **TREES[name]))
     files = sorted(p.name for p in golden.iterdir())
@@ -151,6 +151,19 @@ def test_sweep_tree_matches_its_golden_copy(tmp_path, name):
     assert worst <= TOLERANCE, (
         f"files differ beyond {TOLERANCE} (golden: {recorded}, here: {current}): {differ}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_sweep_tree_matches_its_golden_copy(tmp_path, name):
+    assert_matches_golden(tmp_path, name)
+
+
+def test_default_tree_through_the_scipy_source_matches_its_golden_copy(tmp_path, monkeypatch):
+    # the eigensolver's other source of dstebz/dstein, for numpy builds that
+    # do not export them
+    pytest.importorskip("scipy.linalg")
+    monkeypatch.setattr(_lapack, "_routines", _lapack._scipy_routines)
+    assert_matches_golden(tmp_path, "default_n149")
 
 
 def write_golden() -> None:

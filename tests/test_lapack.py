@@ -1,4 +1,3 @@
-import ctypes
 import logging
 
 import numpy as np
@@ -12,17 +11,20 @@ ALPHAS = (0.5, 1.0, 2.0, 5.0, 8.0)  # 5 and 8: every state lies above the barrie
 DEPTH_CURVES = [(599, np.linspace(1.0, 5.0, 40)), (1201, np.linspace(1.0, 5.0, 10))]
 
 
-def _at(address, ctype):
-    """The Fortran argument at this address, indexable as an array."""
-    return ctypes.cast(address, ctypes.POINTER(ctype))
-
-
 @pytest.fixture
 def ctypes_route():
-    routines = _lapack._routines()
+    routines = _lapack._ctypes_routines()
     if routines is None:
         pytest.skip("this numpy exports no dstebz/dstein")
     return routines
+
+
+@pytest.fixture
+def scipy_source(monkeypatch):
+    """Every solve in the test runs on scipy's dstebz/dstein."""
+    pytest.importorskip("scipy.linalg")
+    monkeypatch.setattr(_lapack, "_routines", _lapack._scipy_routines)
+    return _lapack._scipy_routines()
 
 
 @pytest.fixture
@@ -52,8 +54,7 @@ def loose_reference(scipy_linalg, d, e, k):
     return np.array(quotients), v[:, :k]
 
 
-@pytest.mark.parametrize("n", [149, 599, 1201])
-def test_ctypes_route_equals_eigh_tridiagonal_bitwise(ctypes_route, n):
+def assert_bitwise_the_reference(n):
     scipy_linalg = pytest.importorskip("scipy.linalg")
     grid = make_grid(-1.0, 9.0, n)
     for alpha in ALPHAS:
@@ -68,6 +69,16 @@ def test_ctypes_route_equals_eigh_tridiagonal_bitwise(ctypes_route, n):
             assert w[0] > 0.0
 
 
+@pytest.mark.parametrize("n", [149, 599, 1201])
+def test_ctypes_route_equals_eigh_tridiagonal_bitwise(ctypes_route, n):
+    assert_bitwise_the_reference(n)
+
+
+@pytest.mark.parametrize("n", [149, 599, 1201])
+def test_scipy_source_equals_eigh_tridiagonal_bitwise(scipy_source, n):
+    assert_bitwise_the_reference(n)
+
+
 def test_fallback_when_the_symbols_are_missing_gives_the_same_spectrum(
     ctypes_route, monkeypatch, deep_h
 ):
@@ -76,7 +87,7 @@ def test_fallback_when_the_symbols_are_missing_gives_the_same_spectrum(
     monkeypatch.setattr(_lapack, "SYMBOLS", ("snwell_no_dstebz_", "snwell_no_dstein_"))
     _lapack._routines.cache_clear()
     try:
-        assert _lapack._routines() is None
+        assert _lapack._ctypes_routines() is None
         got = solve(deep_h, 7)
     finally:
         _lapack._routines.cache_clear()
@@ -122,10 +133,10 @@ def two_wells(n_well=40, n_barrier=20, height=1.0):
     [(*two_wells(), 3), (np.array([2.0, 3.0, 5.0]), np.array([-1.0, -1.0]), 3)],
     ids=["close_pair", "no_k_plus_1st_value"],
 )
-def test_fallback_is_the_full_precision_result_and_logs_once(monkeypatch, caplog, route, d, e, k):
+def test_fallback_is_the_full_precision_result_and_logs_once(request, caplog, route, d, e, k):
     scipy_linalg = pytest.importorskip("scipy.linalg")
     if route == "scipy":
-        monkeypatch.setattr(_lapack, "_routines", lambda: None)
+        request.getfixturevalue("scipy_source")
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
     w, v = _lapack.lowest_eigenpairs(d, e, k)
     w_full, v_full = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
@@ -153,19 +164,16 @@ def test_split_matrix_falls_back_on_the_ctypes_route(ctypes_route, caplog):
     assert "k = 3:" in record.getMessage()
 
 
-def test_split_matrix_keeps_the_loose_values_on_the_scipy_route(monkeypatch, caplog):
-    # eigh_tridiagonal sorts the blocks' values, so they pass the guard and the
-    # energies are Rayleigh quotients: close to the full-precision result, not bitwise
+def test_split_matrix_falls_back_on_the_scipy_source(scipy_source, caplog):
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    monkeypatch.setattr(_lapack, "_routines", lambda: None)
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
     w, v = _lapack.lowest_eigenpairs(SPLIT_D, SPLIT_E, 3)
     w_full, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i",
                                                    select_range=(0, 2))
-    scale = np.max(np.abs(SPLIT_D)) + 2.0 * np.max(np.abs(SPLIT_E))
-    np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-11 * scale)
-    np.testing.assert_allclose(v, v_full, rtol=0, atol=1e-9)
-    assert fallback_records(caplog) == []
+    np.testing.assert_array_equal(w, w_full)
+    np.testing.assert_array_equal(v, v_full)
+    [record] = fallback_records(caplog)
+    assert "k = 3:" in record.getMessage()
 
 
 def test_heavy_particle_matrix_splits_and_solve_falls_back(ctypes_route, caplog):
@@ -190,13 +198,13 @@ def test_dstebz_info_raises_numerical_error(ctypes_route, deep_h):
     assert excinfo.value.state_index is None
 
 
-def test_dstein_info_raises_numerical_error(ctypes_route, monkeypatch, deep_h):
-    real_stebz, real_stein = ctypes_route
+def assert_dstein_info_raises(monkeypatch, deep_h, routines):
+    real_stebz, real_stein = routines
 
-    def unordered_stebz(*args):
-        real_stebz(*args)
-        # W(2) above W(3) in one block: dstein rejects W (argument 5)
-        _at(args[12], ctypes.c_double)[1] += 1e3
+    def unordered_stebz(d, e, count, tol):
+        w, iblock, isplit, info = real_stebz(d, e, count, tol)
+        w[1] += 1e3  # W(2) above W(3) in one block: dstein rejects W (argument 5)
+        return w, iblock, isplit, info
 
     monkeypatch.setattr(_lapack, "_routines", lambda: (unordered_stebz, real_stein))
     with pytest.raises(NumericalError, match=r"dstein failed \(info = -5\)") as excinfo:
@@ -204,18 +212,49 @@ def test_dstein_info_raises_numerical_error(ctypes_route, monkeypatch, deep_h):
     assert excinfo.value.state_index is None
 
 
+def test_dstein_info_raises_numerical_error(ctypes_route, monkeypatch, deep_h):
+    assert_dstein_info_raises(monkeypatch, deep_h, ctypes_route)
+
+
+def test_dstein_info_raises_numerical_error_on_the_scipy_source(scipy_source, monkeypatch, deep_h):
+    assert_dstein_info_raises(monkeypatch, deep_h, scipy_source)
+
+
 def test_dstein_ifail_carries_the_state_index(ctypes_route, monkeypatch, deep_h):
     real_stebz, real_stein = ctypes_route
 
-    def unconverged_stein(*args):
-        real_stein(*args)
-        _at(args[-2], ctypes.c_int64)[0] = 3  # IFAIL(1): the third vector in block order
-        _at(args[-1], ctypes.c_int64)[0] = 1  # INFO: one vector did not converge
+    def unconverged_stein(d, e, w, iblock, isplit):
+        z, _, ifail = real_stein(d, e, w, iblock, isplit)
+        ifail[0] = 3  # IFAIL(1): the third vector in block order
+        return z, 1, ifail  # INFO: one vector did not converge
 
     monkeypatch.setattr(_lapack, "_routines", lambda: (real_stebz, unconverged_stein))
     with pytest.raises(NumericalError, match="dstein failed") as excinfo:
         solve(deep_h, 4)
     assert excinfo.value.state_index == 2
+
+
+@pytest.mark.parametrize("source", ["ctypes_route", "scipy_source"], ids=["numpy", "scipy"])
+def test_loose_pass_dstein_failure_raises_on_both_sources(request, monkeypatch, caplog, deep_h,
+                                                          source):
+    # the failure is not taken for a failed bisection: no full-precision solve
+    # runs after it, and only numpy's dstein reports which vector failed
+    real_stebz, real_stein = request.getfixturevalue(source)
+    calls = []
+
+    def unconverged_stein(d, e, w, iblock, isplit):
+        calls.append(w.size)
+        z, _, ifail = real_stein(d, e, w, iblock, isplit)
+        if ifail is not None:
+            ifail[0] = 1
+        return z, 1, ifail
+
+    monkeypatch.setattr(_lapack, "_routines", lambda: (real_stebz, unconverged_stein))
+    caplog.set_level(logging.DEBUG, logger="snwell._lapack")
+    with pytest.raises(NumericalError, match=r"dstein failed \(info = 1\)") as excinfo:
+        _lapack.lowest_eigenpairs(deep_h.diagonal, deep_h.off_diagonal, 4)
+    assert calls == [4] and fallback_records(caplog) == []
+    assert excinfo.value.state_index == (0 if source == "ctypes_route" else None)
 
 
 def test_malformed_matrix_rejected_before_lapack(deep_h):

@@ -54,3 +54,15 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.name}: {node.module}.{alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_names_eigh_tridiagonal():
+    # _lapack.lowest_eigenpairs is the one eigensolver driver: numpy's and
+    # scipy's LAPACK only supply the dstebz and dstein it calls
+    named = []
+    for path in sorted(Path(snwell.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            fields = {getattr(node, f, None) for f in ("id", "attr", "name", "asname")}
+            if "eigh_tridiagonal" in fields:
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
