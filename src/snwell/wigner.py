@@ -22,49 +22,50 @@ truncation) and obeys |rho| <= 1/(pi hbar), but it may be negative and is
 never clamped.  The probability of classically nonreactive behaviour is its
 integral over the region H(x, p) <= 0.  Both probability paths read that
 region from _level_reach: bitwise the cells where H <= 0 on every window,
-V or p^2 / 2m overflowing included.
+V or p^2 / 2m overflowing included, as the first r_j levels of each row j.
 
-That integral is linear in the correlation matrix the field is built from.
-Written over the left offset point a = j - l instead of the row j,
+The integral over any such region is linear in the correlation matrix the
+field is built from.  Written over the left offset point a = j - l instead
+of the row j,
 
     P = dx dp (dx / pi hbar) sum_a psi(x_a) sum_l G[l, a] psi(x_a + 2 l dx),
     G[l, a] = c_l K[a + l, l],
     K[j, l] = sum over the region cells k of row j of cos(eta_l p_k / hbar),
 
-so nonreactive_probabilities takes it without building the field.  K is a
-sum over the levels q_i (ascending), each weighted by its number of cells
-m_i (2 where p_k and -p_k are both on the grid, else 1).  Each row's
-region is its first r_j levels, found by one bisection (see _level_reach).
-So G[l, a] = T[l, r_(a+l)], one entry of a table T of prefix sums
-over the levels.  Since p^2 / 2m >= 0, a row can hold a region cell only
-where V(x_j) <= 0, i.e. up to x = 3 sqrt(mu) / alpha; past the last such
-row, stop, K vanishes exactly, and with a, l >= 0 every term with
-a + l >= stop does too; psi(x_a + 2 l dx) vanishes once a + 2l >= N.  So
-only the terms with a + l < stop and a + 2l < N are formed: at mu = 4 on the
-standard window that is 41 % of the N (L + 1) table at alpha = 1, 5 % at
-alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from T in blocks of
-consecutive left points a, a block's arrays holding about _BLOCK_DOUBLES
-(2^15) entries so that it stays in L2 cache, and every state is contracted
-against each block in one einsum with stride-2 views of the stacked psi: no
-BLAS call, no correlation matrix and no array larger than one block; each
-thread keeps its two block buffers from call to call.  Each
+so _region_integrals, whose input is the region (r_j for each row), takes
+it without building the field; nonreactive_probabilities is its call with
+the H <= 0 region.  K is a sum over the levels q_i (ascending), each
+weighted by its number of cells m_i (2 where p_k and -p_k are both on the
+grid, else 1), so G[l, a] = T[l, r_(a+l)], one entry of a table T of prefix
+sums over the levels.  Past the last row with a region cell, stop, K
+vanishes exactly, and with a, l >= 0 every term with a + l >= stop does
+too; psi(x_a + 2 l dx) vanishes once a + 2l >= N.  So only the terms with
+a + l < stop and a + 2l < N are formed.  Since p^2 / 2m >= 0, an H <= 0 row
+needs V(x_j) <= 0, i.e. x <= 3 sqrt(mu) / alpha: at mu = 4 on the standard
+window the terms formed are 41 % of the N (L + 1) table at alpha = 1, 5 %
+at alpha = 5 and 13 % over alpha in [1, 5].  G is gathered from T in blocks
+of consecutive left points a, a block's arrays holding about _BLOCK_DOUBLES
+(2^15) entries so that it stays in L2 cache, and every row psi is
+contracted against each block in one einsum with stride-2 views of the
+stacked rows: no BLAS call, no correlation matrix and no array larger than
+one block; each thread keeps its two block buffers from call to call.  Each
 sum over l runs from l = 0 upward whatever the block size, so the blocks do
 not change a bit.  Probability-only sweeps never build a field; their values
 agree with nonreactive_probability(wigner_transform(...)) to 1e-14 max(1, S),
 S = sum |rho| dx dp over the region cells (the sums run in a different order).
 
-Only nonreactive_probabilities reads a cached phase table: the level prefix
-table T (see _PrefixBuild), (L + 1) x (number of levels + 1) doubles, so
-(L + 1) x (ceil(n_p / 2) + 1) on a mirrored momentum grid, 2.9 MB at
-N = n_p = 1201, built once per (x grid, p grid, hbar) and shared by
-concurrent sweep points.  Its build is cooperative: the cache entry holds
-the table and its unbuilt row blocks, every sweep point that finds the
-table unfinished builds blocks that no other has claimed, and it waits
-only for the blocks others are still building.  The cosines release the
-interpreter lock, so two workers build them at once; the cumsum holds it.
-wigner_transform computes its (L + 1) x (number of levels) cosines on each
-call, 7 % of its time at N = 599 and 17 % at N = 2401, so a Wigner sweep,
-which takes its probabilities from the fields, holds no table.
+Only _region_integrals reads a cached phase table: the level prefix table T
+(see _PrefixBuild), (L + 1) x (number of levels + 1) doubles, so (L + 1) x
+(ceil(n_p / 2) + 1) on a mirrored momentum grid, 2.9 MB at N = n_p = 1201,
+built once per (x grid, p grid, hbar) and shared by concurrent sweep
+points.  Its build is cooperative: the cache entry holds the table and its
+unbuilt row blocks, every sweep point that finds the table unfinished
+builds blocks that no other has claimed, and it waits only for the blocks
+others are still building.  The cosines release the interpreter lock, so
+two workers build them at once; the cumsum holds it.  wigner_transform
+computes its (L + 1) x (number of levels) cosines on each call, 7 % of its
+time at N = 599 and 17 % at N = 2401, so a Wigner sweep, which takes its
+probabilities from the fields, holds no table.
 """
 
 from __future__ import annotations
@@ -145,11 +146,11 @@ class WignerField:
 # guards the prefix-table cache and every entry's block bookkeeping; callers
 # wait on it for the blocks that others are building
 _kernel_lock = threading.Condition()
-# each thread's nonreactive_probabilities block buffers, freed when it exits
+# each thread's _region_integrals block buffers, freed when it exits
 _blocks = threading.local()
 
 # entries in each block of the prefix table's build and of
-# nonreactive_probabilities' work arrays: 256 KB of doubles, so that a block
+# _region_integrals' work arrays: 256 KB of doubles, so that a block
 # stays in L2 cache
 _BLOCK_DOUBLES = 1 << 15
 
@@ -343,33 +344,40 @@ def nonreactive_probabilities(
 ) -> list[float]:
     """nonreactive_probability of each state's field, without building the fields.
 
-    The same H(x_j, p_k) <= 0 cells, each row's momentum levels taken exactly
-    in O(N log N) (see _level_reach).  Rows from stop (one past the last row
-    with a region cell) on contribute exact zeros, so the sheared region sums
-    G of the module docstring are formed only for left points a < stop, in
-    blocks of consecutive a of about _BLOCK_DOUBLES entries, each block with
-    only the offsets l whose terms can be nonzero (a + l < stop and
-    a + 2l < N).  A block's G is one gather from the prefix table, and every
-    state is contracted against it in one einsum over the stacked,
-    zero-padded psi, then takes one length-stop dot: no BLAS call and no
-    correlation matrix.  Each sum over l runs in ascending order from l = 0
-    and the terms left out are exact zeros, so the result does not depend on
-    the block size.  The table is cached, and the block buffers are this
-    thread's, reused from call to call.  With no region cell at all every
-    probability is 0.0, and no table is built.
-    Agrees with nonreactive_probability(wigner_transform(...)) to 1e-14
-    max(1, S), S = sum |rho| dx dp over the region cells, not bitwise (the
-    sums run in a different order, so the difference scales with the terms).
+    _region_integrals over the same H(x_j, p_k) <= 0 cells, each row's
+    momentum levels taken exactly in O(N log N) (see _level_reach).  Agrees
+    with nonreactive_probability(wigner_transform(...)) to 1e-14 max(1, S),
+    S = sum |rho| dx dp over the region cells, not bitwise (the sums run in
+    a different order, so the difference scales with the terms).
     """
     if not states:
         return []
     for state in states:
         _check_state(state, xg)
-    reach = _level_reach(xg, pg, params)
+    return _region_integrals([state.values for state in states], xg, pg, params.hbar,
+                             _level_reach(xg, pg, params))
+
+
+def _region_integrals(psi: Sequence[np.ndarray], xg: SpatialGrid, pg: MomentumGrid,
+                      hbar: float, reach: np.ndarray) -> list[float]:
+    """For each row psi_s, the integral of its Wigner field over the region
+    of the first reach[j] momentum levels of each x row j.
+
+    Only the module docstring's terms with a + l < stop and a + 2l < N are
+    formed, in blocks of consecutive left points a of about _BLOCK_DOUBLES
+    entries.  A block's G is one gather from the cached prefix table, and
+    every row is contracted against it in one einsum over the stacked,
+    zero-padded psi, then takes one length-stop dot: no BLAS call and no
+    correlation matrix.  Each sum over l runs in ascending order from l = 0
+    and the terms left out are exact zeros, so the result does not depend
+    on the block size.  The block buffers are this thread's, reused from
+    call to call.  An empty region gives 0.0 for every row and builds no
+    table.
+    """
     allowed = np.flatnonzero(reach)
     if allowed.size == 0:
-        return [0.0] * len(states)
-    prefix = _prefix_table(xg, pg, params.hbar)
+        return [0.0] * len(psi)
+    prefix = _prefix_table(xg, pg, hbar)
     stop = int(allowed[-1]) + 1
     n = xg.n_points
     lmax = min((n - 1) // 2, stop - 1)
@@ -379,11 +387,11 @@ def nonreactive_probabilities(
     hankel = sliding_window_view(column, stop)  # hankel[l, a] = column[a + l]
     row_starts = (np.arange(lmax + 1) * prefix.shape[1])[:, None]
     # padded[s, m] = psi_s(x_m), zero beyond the window
-    padded = np.zeros((len(states), n + 2 * lmax))
-    padded[:, :n] = [state.values for state in states]
+    padded = np.zeros((len(psi), n + 2 * lmax))
+    padded[:, :n] = psi
     # far[s, l, a] = psi_s(x_a + 2 l dx)
     far = sliding_window_view(padded, stop, axis=1)[:, ::2]
-    inner = np.empty((len(states), stop))
+    inner = np.empty((len(psi), stop))
     # this thread's block buffers, kept from its earlier calls so that a call
     # writes into pages it already holds; each block overwrites what it reads
     size = max(_BLOCK_DOUBLES, lmax + 1)
@@ -405,8 +413,8 @@ def nonreactive_probabilities(
         np.einsum("la,sla->sa", g, far[:, :rows, a0 : a0 + width],
                   out=inner[:, a0 : a0 + width])
         a0 += width
-    scale = xg.dx * pg.dp * xg.dx / (math.pi * params.hbar)
-    # one dot per state: numpy sums one einsum over all states in another
-    # order once stop passes 8192, which would change the last bits
-    return [float(np.einsum("a,a->", state.values[:stop], inner[s])) * scale
-            for s, state in enumerate(states)]
+    scale = xg.dx * pg.dp * xg.dx / (math.pi * hbar)
+    # one dot per row: numpy sums one einsum over all rows in another order
+    # once stop passes 8192, which would change the last bits
+    return [float(np.einsum("a,a->", row[:stop], inner[s])) * scale
+            for s, row in enumerate(psi)]

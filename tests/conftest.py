@@ -2,7 +2,15 @@ import hypothesis
 import numpy as np
 import pytest
 
-from snwell import DiscreteHamiltonian, ModelParams, assemble, make_grid, make_momentum_grid, solve
+from snwell import (
+    DiscreteHamiltonian,
+    ModelParams,
+    assemble,
+    make_grid,
+    make_momentum_grid,
+    potential,
+    solve,
+)
 
 hypothesis.settings.register_profile("ci", deadline=None, max_examples=100)
 hypothesis.settings.load_profile("ci")
@@ -21,6 +29,41 @@ def fd_hamiltonian(grid, v, hbar=1.0, mass=1.0):
         grid=grid,
         params=ModelParams(mu=0.0, alpha=1.0, hbar=hbar, mass=mass),
     )
+
+
+def sine_dvr(params, a, b, m, k):
+    """The k lowest energies and states of the Dirichlet problem on [a, b] in
+    the sine discrete variable representation on its M interior points
+    x_i = a + i h, h = (b - a) / (M + 1) (Colbert & Miller, J. Chem. Phys.
+    96, 1982 (1992)): the kinetic matrix is exact in the box's sine basis,
+
+        T = S diag((hbar^2 / 2m) (j pi / L)^2) S,
+        S_ij = sqrt(2 / (M + 1)) sin(i j pi / (M + 1)),
+
+    V is diagonal on the points, and one dense eigh.  An independent
+    reference for the finite-difference pipeline on the same window.
+    Returns (energies, points, psi), psi[n] normalized so sum psi^2 h = 1.
+    """
+    length = b - a
+    h = length / (m + 1)
+    j = np.arange(1, m + 1)
+    points = a + h * j
+    s = np.sqrt(2.0 / (m + 1)) * np.sin(np.outer(j, j) * (np.pi / (m + 1)))
+    kinetic = (s * (params.hbar**2 / (2.0 * params.mass) * (j * np.pi / length) ** 2)) @ s
+    energies, vectors = np.linalg.eigh(kinetic + np.diag(potential(params, points)))
+    return energies[:k], points, vectors[:, :k].T / np.sqrt(h)
+
+
+# alpha = 1 and 5, and test_4b's dip, np.linspace(1, 5, 20) entries 5 to 7
+DVR_ALPHAS = (1.0, *(float(a) for a in np.linspace(1.0, 5.0, 20)[5:8]), 5.0)
+
+
+@pytest.fixture(scope="session")
+def dvr_states():
+    """alpha -> sine_dvr of the mu = 4 well on the standard window [-1, 9],
+    M = 800 (its energies move by at most 2.2e-8 against M = 1600), the
+    lowest 5 states, for each alpha of DVR_ALPHAS."""
+    return {alpha: sine_dvr(ModelParams(4.0, alpha), -1.0, 9.0, 800, 5) for alpha in DVR_ALPHAS}
 
 
 @pytest.fixture(scope="session")

@@ -66,3 +66,22 @@ def test_no_module_names_eigh_tridiagonal():
             if "eigh_tridiagonal" in fields:
                 named.append(f"{path.name}:{node.lineno}")
     assert named == []
+
+
+def test_only_the_region_kernel_reads_the_prefix_table():
+    # wigner._region_integrals is the one phase-space contraction: every sum
+    # of a Wigner field over a region, the H <= 0 probability among them,
+    # goes through it
+    def readers(node, owner):
+        """The innermost function around each use of the name under node."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif "_prefix_table" in {getattr(node, "id", None), getattr(node, "attr", None)}:
+            yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from readers(child, owner)
+
+    found = [f"{path.name}:{owner}"
+             for path in sorted(Path(snwell.__file__).parent.glob("*.py"))
+             for owner in readers(ast.parse(path.read_text(), filename=str(path)), "<module>")]
+    assert found == ["wigner.py:_region_integrals"]

@@ -44,6 +44,7 @@ from snwell.wigner import (
     _prefix_build,
     _prefix_table,
     _PrefixBuild,
+    _region_integrals,
 )
 
 from conftest import fd_hamiltonian
@@ -244,15 +245,27 @@ def test_nonreactive_probability_shallow_well(shallow_spectrum, saddle_grid, mom
         assert -0.05 <= p <= 1.05
 
 
-def assert_paths_agree(fused, state, xg, pg, params):
+def assert_paths_agree(fused, state, xg, pg, params, whole=None):
     """|fused - field| <= 1e-14 max(1, S), S = sum |rho| dx dp over the region
     cells: the two paths add the same terms in a different order, so their
-    difference scales with the size of the terms, not with 1."""
+    difference scales with the size of the terms, not with 1.  Where whole
+    is given, the same rule holds between it and the sum over every cell."""
     w = wigner_transform(state, xg, pg, params)
     field = nonreactive_probability(w, params)
     region = pg.columns < _level_reach(xg, pg, params)[:, None]
     scale = float(np.sum(np.abs(w.values[region]))) * xg.dx * pg.dp
     assert abs(fused - field) <= 1e-14 * max(1.0, scale), (state.index, fused - field, scale)
+    if whole is not None:
+        total = float(np.sum(w.values)) * xg.dx * pg.dp
+        scale = float(np.sum(np.abs(w.values))) * xg.dx * pg.dp
+        assert abs(whole - total) <= 1e-14 * max(1.0, scale), (state.index, whole - total, scale)
+
+
+def whole_grid_integrals(states, xg, pg, params):
+    """The region kernel with every row's reach at the last level: the
+    integral of each state's field over the whole grid."""
+    return _region_integrals([st.values for st in states], xg, pg, params.hbar,
+                             np.full(xg.n_points, pg.levels.size))
 
 
 MOMENTUM_WINDOWS = {
@@ -276,8 +289,15 @@ def test_fused_probabilities_match_field_path(n, window):
             assert stop - 1 < (n - 1) // 2
         states = solve(assemble(params, grid), 5).states
         fused = nonreactive_probabilities(states, grid, pg, params)
-        for st, prob in zip(states, fused):
-            assert_paths_agree(prob, st, grid, pg, params)
+        # the probabilities are the region kernel's sums over the H <= 0 cells
+        kernel = _region_integrals([st.values for st in states], grid, pg, params.hbar,
+                                   _level_reach(grid, pg, params))
+        assert [p.hex() for p in kernel] == [p.hex() for p in fused]
+        # the whole grid's integral too, below N = 1201, where summing two
+        # more N x N arrays per state would add 0.1 s to each window
+        whole = whole_grid_integrals(states, grid, pg, params) if n < 1201 else [None] * 5
+        for st, prob, total in zip(states, fused, whole, strict=True):
+            assert_paths_agree(prob, st, grid, pg, params, total)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
@@ -411,8 +431,9 @@ def test_fused_probabilities_match_field_path_on_any_window(mu, alpha, mass, a, 
     grid = make_grid(a, a + width, n)
     states = solve(assemble(params, grid), min(3, n - 2)).states
     fused = nonreactive_probabilities(states, grid, pg, params)
-    for st, prob in zip(states, fused):
-        assert_paths_agree(prob, st, grid, pg, params)
+    whole = whole_grid_integrals(states, grid, pg, params)
+    for st, prob, total in zip(states, fused, whole, strict=True):
+        assert_paths_agree(prob, st, grid, pg, params, total)
 
 
 def test_overflowing_kinetic_levels_do_not_warn():
@@ -597,6 +618,13 @@ def test_probabilities_without_a_region_cell_build_no_table():
     states = solve(assemble(params, grid), 3).states
     _prefix_build.cache_clear()
     assert nonreactive_probabilities(states, grid, pg, params) == [0.0, 0.0, 0.0]
+    assert _prefix_build.cache_info().misses == 0
+    # nor does the kernel given an empty region on a grid whose H <= 0 region
+    # is not empty
+    states, grid, pg, params = probability_problem(149)
+    empty = np.zeros(grid.n_points, np.intp)
+    assert _region_integrals([st.values for st in states], grid, pg, params.hbar,
+                             empty) == [0.0] * 5
     assert _prefix_build.cache_info().misses == 0
 
 
