@@ -1,16 +1,13 @@
-"""Lowest eigenpairs of a symmetric tridiagonal matrix: LAPACK dstebz + dstein.
+"""Lowest eigenvectors of a symmetric tridiagonal matrix: LAPACK dstebz + dstein.
 
 Bisection (dstebz) brackets the k + 1 lowest eigenvalues only to ABSTOL =
 2^-28 (max|d| + 2 max|e|), since inverse iteration (dstein) needs just a
-shift well separated from the other eigenvalues.  dstein computes the
-lowest k vectors, and each energy is the Rayleigh quotient psi^T T psi /
-psi^T psi of its own vector: its error is quadratic in the vector's, and it
-minimizes the residual (Parlett, The Symmetric Eigenvalue Problem, 1998).
-The loose bisection is kept only where its k + 1 values come back ascending
-with every gap above 1e3 ABSTOL; otherwise (k + 1 > n, or a matrix that
-splits into blocks, whose values come back block by block) the k values are
-bisected to full precision (ABSTOL = 0) and returned as they are, with one
-DEBUG record.
+shift well separated from the other eigenvalues; the energies are taken
+from the vectors (see eigensolve).  The loose bisection is kept only where
+its k + 1 values come back ascending with every gap above 1e3 ABSTOL;
+otherwise (k + 1 > n, or a matrix that splits into blocks, whose values
+come back block by block) the k values are bisected to full precision
+(ABSTOL = 0), with one DEBUG record.
 
 The OpenBLAS bundled with numpy's wheels exports both routines with 64-bit
 integers; called through ctypes, they cost no scipy import, and the
@@ -29,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["lowest_eigenpairs"]
+__all__ = ["lowest_eigenvectors"]
 
 SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_")
 TOL_FACTOR = 2.0**-28  # ABSTOL per unit of max|d| + 2 max|e|; a power of 2 keeps scalings exact
@@ -118,18 +115,6 @@ def _routines():
     return _ctypes_routines() or _scipy_routines()
 
 
-def _rayleigh_quotients(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """psi^T T psi / psi^T psi for each column psi of z, each summed over its
-    own contiguous vector, whatever layout the solver returned."""
-    quotients = np.empty(z.shape[1])
-    for j, psi in enumerate(np.ascontiguousarray(z.T)):
-        t_psi = d * psi
-        t_psi[:-1] += e * psi[1:]
-        t_psi[1:] += e * psi[:-1]
-        quotients[j] = np.sum(psi * t_psi) / np.sum(psi * psi)
-    return quotients
-
-
 def _separated(w: np.ndarray | None, k: int, abstol: float) -> bool:
     """Whether w, the loose bisection's values in the order it returned them
     (None where it did not run or failed), are k + 1 ascending values with
@@ -143,13 +128,13 @@ def _separated(w: np.ndarray | None, k: int, abstol: float) -> bool:
     return False
 
 
-def lowest_eigenpairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenvalues (ascending) and eigenvectors (columns) of tridiag(e, d, e).
+def lowest_eigenvectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvectors (columns) of the k lowest eigenvalues of tridiag(e, d, e), ascending.
 
     Bitwise equal, from either source, to the lowest k columns of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k),
-    tol=ABSTOL) and their Rayleigh quotients where the guard holds, and to
-    its select_range=(0, k - 1) at ABSTOL = 0 where it falls back.
+    tol=ABSTOL) where the guard holds, and to its select_range=(0, k - 1)
+    at ABSTOL = 0 where it falls back.
     Raises ValueError when the shapes do not fit, and NumericalError on a
     non-finite entry or when either routine reports a nonzero info; a vector
     numpy's dstein could not converge carries its state index.
@@ -165,8 +150,7 @@ def lowest_eigenpairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray,
     stebz, stein = _routines()
     # with k + 1 > n, dstebz would print its illegal-argument message
     w, iblock, isplit, info = stebz(d, e, k + 1, abstol) if k < n else (None,) * 4
-    loose = _separated(None if info else w, k, abstol)
-    if loose:
+    if _separated(None if info else w, k, abstol):
         w = w[:k]  # the top value is the last one
     else:
         w, iblock, isplit, info = stebz(d, e, k, 0.0)  # ABSTOL = 0: LAPACK's default
@@ -177,6 +161,4 @@ def lowest_eigenpairs(d: np.ndarray, e: np.ndarray, k: int) -> tuple[np.ndarray,
     if info:
         failed = None if info < 0 or ifail is None else int(np.argsort(order)[ifail[0] - 1])
         raise NumericalError(f"LAPACK dstein failed (info = {info})", state_index=failed)
-    if loose:  # w ascends, so the columns are in matrix order already
-        return _rayleigh_quotients(d, e, z), z
-    return w[order], z[:, order]
+    return z[:, order]

@@ -37,9 +37,13 @@ def uniform_points(a: float, b: float, n: int) -> np.ndarray:
     point set (points[n-1-j] == -points[j] bitwise, with an exact 0 in the
     middle for odd n).  The two forms agree to rounding.  A window so
     narrow that rounding leaves two neighbours equal or out of order is a
-    ConfigurationError: every consumer relies on strictly ascending points.
+    ConfigurationError: every consumer relies on strictly ascending points,
+    as is an n too large to allocate.
     """
-    j = np.arange(n, dtype=float)
+    try:
+        j = np.arange(n, dtype=float)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"{n} grid points are too many to allocate: {exc}") from exc
     pts = (a * (n - 1 - j) + b * j) / (n - 1)
     pts[0] = a
     pts[-1] = b

@@ -9,8 +9,9 @@ mean position of state n = 2 is not strictly monotone in the well depth:
 it dips by about 2.5 percent for alpha between roughly 2.1 and 2.9, where
 E_2 rises above the barrier energy and the state delocalizes toward the left
 window wall.  The dip is converged in the grid (identical at N = 599, 1201,
-2401) and confirmed by an independent dense-solver + Simpson-rule route, so
-it is a property of the specified system, not an implementation artifact.
+2401) and confirmed by the independent sine DVR
+(tests/test_sine_dvr.py::test_the_4b_dip_is_in_the_dvr_too), so it is a
+property of the specified system, not an implementation artifact.
 States n = 0 and n = 1 are strictly monotone as required.
 """
 

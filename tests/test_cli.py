@@ -315,6 +315,13 @@ def test_unallocatable_range_count_exits_2(tmp_path, capsys, count):
     assert_runs_exit_2(tmp_path, capsys, runs)
 
 
+# 1e15 doubles (7.1 PiB) are past any address space, and 2^62 doubles
+# overflow numpy's size computation: both fail at once, touching no memory
+@pytest.mark.parametrize("n_points", ["1000000000000000", "4611686018427387904"])
+def test_unallocatable_grid_exits_2(tmp_path, capsys, n_points):
+    assert_runs_exit_2(tmp_path, capsys, [["--n-points", n_points]])
+
+
 @pytest.mark.parametrize(
     "key,window", [("pdomain", "0 inf"), ("pdomain", "-inf 6"), ("domain", "-1 inf")]
 )

@@ -16,7 +16,7 @@ from snwell import (
 )
 from snwell.eigensolve import RESIDUAL_RTOL
 
-from conftest import fd_hamiltonian
+from conftest import fd_hamiltonian, rayleigh_quotient
 
 
 def test_harmonic_oscillator_levels():
@@ -141,21 +141,20 @@ def test_residual_within_contract(deep_spectrum, saddle_grid, deep_params):
 
 
 def _patched_solver(monkeypatch, edit):
-    """Make solve() see the real eigenpairs with edit(w) applied to the eigenvalues."""
-    real = snwell._lapack.lowest_eigenpairs
+    """Make solve() see the real eigenvectors with edit(v) applied to them."""
+    real = snwell._lapack.lowest_eigenvectors
 
     def patched(*args, **kwargs):
-        w, v = real(*args, **kwargs)
-        w = w.copy()
-        edit(w)
-        return w, v
+        v = real(*args, **kwargs).copy()
+        edit(v)
+        return v
 
-    monkeypatch.setattr(snwell._lapack, "lowest_eigenpairs", patched)
+    monkeypatch.setattr(snwell._lapack, "lowest_eigenvectors", patched)
 
 
 def test_nan_eigenvalue_fails_the_residual_check(monkeypatch, saddle_grid, deep_params):
-    def poison(w):
-        w[2] = np.nan
+    def poison(v):
+        v[10, 2] = np.nan
 
     _patched_solver(monkeypatch, poison)
     with pytest.raises(NumericalError, match="residual") as excinfo:
@@ -164,8 +163,8 @@ def test_nan_eigenvalue_fails_the_residual_check(monkeypatch, saddle_grid, deep_
 
 
 def test_clustered_eigenvalues_raise(monkeypatch, saddle_grid, deep_params):
-    def merge(w):
-        w[2] = w[1] * (1.0 + 1e-12)
+    def merge(v):
+        v[:, 2] = v[:, 1]
 
     _patched_solver(monkeypatch, merge)
     with pytest.raises(NumericalError, match="cluster") as excinfo:
@@ -175,8 +174,10 @@ def test_clustered_eigenvalues_raise(monkeypatch, saddle_grid, deep_params):
 
 def per_column_reference(h, k):
     """solve's conventions taken one eigenvector at a time:
-    (energy, psi, amplitude, residual), the residual that of the flipped psi."""
-    w, v = snwell._lapack.lowest_eigenpairs(h.diagonal, h.off_diagonal, k)
+    (energy, psi, amplitude, residual), the energy the Rayleigh quotient of
+    the driver's vector, the residual that of the flipped psi."""
+    v = snwell._lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k)
+    w = [rayleigh_quotient(h, column) for column in v.T]
     out = []
     for i in range(k):
         psi = np.zeros(h.grid.n_points)
@@ -196,15 +197,14 @@ def test_solve_equals_the_per_column_reference_bitwise(monkeypatch, n, k, negate
         # LAPACK returns each vector with its largest entry positive; negating
         # every other one makes the sign rule flip them back.  The copy is in
         # C order, where LAPACK's block is in Fortran order
-        real = snwell._lapack.lowest_eigenpairs
+        real = snwell._lapack.lowest_eigenvectors
 
         def negated(*args):
-            w, v = real(*args)
-            v = v.copy()
+            v = real(*args).copy()
             v[:, 1::2] *= -1.0
-            return w, v
+            return v
 
-        monkeypatch.setattr(snwell._lapack, "lowest_eigenpairs", negated)
+        monkeypatch.setattr(snwell._lapack, "lowest_eigenvectors", negated)
     h = assemble(ModelParams(4.0, 2.0), make_grid(-1.0, 9.0, n))
     spectrum = solve(h, k)
     reference = per_column_reference(h, k)
@@ -219,11 +219,11 @@ def test_solve_equals_the_per_column_reference_bitwise(monkeypatch, n, k, negate
 
 
 def test_two_residual_failures_report_the_lower_state(monkeypatch, saddle_grid, deep_params):
-    def shift(w):
-        w[3] += 1e-2
-        w[1] += 1e-2
+    def mix(v):
+        v[:, 3] += 1e-2 * v[:, 0]
+        v[:, 1] += 1e-2 * v[:, 0]
 
-    _patched_solver(monkeypatch, shift)
+    _patched_solver(monkeypatch, mix)
     with pytest.raises(NumericalError, match="residual .* for state 1") as excinfo:
         solve(assemble(deep_params, saddle_grid), 5)
     assert excinfo.value.state_index == 1

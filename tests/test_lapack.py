@@ -3,8 +3,10 @@ import logging
 import numpy as np
 import pytest
 
-from snwell import ModelParams, NumericalError, assemble, make_grid, solve
+from snwell import DiscreteHamiltonian, ModelParams, NumericalError, assemble, make_grid, solve
 from snwell import _lapack
+
+from conftest import rayleigh_quotient
 
 ALPHAS = (0.5, 1.0, 2.0, 5.0, 8.0)  # 5 and 8: every state lies above the barrier top
 # the alphas of figure_data.sh's depth_curves, and of its 10-point run at N = 1201
@@ -37,36 +39,32 @@ def fallback_records(caplog):
 
 
 def loose_reference(scipy_linalg, d, e, k):
-    """eigh_tridiagonal at ABSTOL = 2^-28 (max|d| + 2 max|e|) for k + 1 values,
-    and the Rayleigh quotient of each of the lowest k vectors; at ABSTOL = 0
-    for k values where a gap among the k + 1 is not above 1e3 ABSTOL."""
+    """The lowest k vectors of eigh_tridiagonal at ABSTOL = 2^-28 (max|d| +
+    2 max|e|) for k + 1 values; at ABSTOL = 0 for k values where a gap
+    among the k + 1 is not above 1e3 ABSTOL."""
     abstol = 2.0**-28 * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
     w, v = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k), tol=abstol)
     if np.min(np.diff(w)) <= 1e3 * abstol:
-        return scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    quotients = []
-    for psi in v[:, :k].T:
-        psi = np.ascontiguousarray(psi)
-        t_psi = d * psi
-        t_psi[:-1] += e * psi[1:]
-        t_psi[1:] += e * psi[:-1]
-        quotients.append(np.sum(psi * t_psi) / np.sum(psi * psi))
-    return np.array(quotients), v[:, :k]
+        return scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))[1]
+    return v[:, :k]
 
 
 def assert_bitwise_the_reference(n):
+    """The driver's vectors are the reference's, and solve's energies their
+    Rayleigh quotients, one column at a time."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     grid = make_grid(-1.0, 9.0, n)
     for alpha in ALPHAS:
         h = assemble(ModelParams(4.0, alpha), grid)
         for k in (1, 5, 12):
-            w, v = _lapack.lowest_eigenpairs(h.diagonal, h.off_diagonal, k)
-            w_ref, v_ref = loose_reference(scipy_linalg, h.diagonal, h.off_diagonal, k)
-            assert w.shape == (k,) and v.shape == (n - 2, k)
-            np.testing.assert_array_equal(w, w_ref)
+            v = _lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k)
+            v_ref = loose_reference(scipy_linalg, h.diagonal, h.off_diagonal, k)
+            assert v.shape == (n - 2, k)
             np.testing.assert_array_equal(v, v_ref)
+            energies = solve(h, k).energies
+            np.testing.assert_array_equal(energies, [rayleigh_quotient(h, psi) for psi in v_ref.T])
         if alpha >= 5.0:
-            assert w[0] > 0.0
+            assert energies[0] > 0.0
 
 
 @pytest.mark.parametrize("n", [149, 599, 1201])
@@ -98,9 +96,9 @@ def test_fallback_when_the_symbols_are_missing_gives_the_same_spectrum(
 
 @pytest.mark.parametrize("n,alphas", DEPTH_CURVES, ids=["n599", "n1201"])
 def test_loose_bisection_agrees_with_full_precision_on_the_depth_curves(caplog, n, alphas):
-    """Energies within 1e-11 of the matrix scale and vectors within 1e-9 of
-    dstebz at ABSTOL = 0, no state's residual above the full-precision
-    solves' largest, and no fallback."""
+    """solve's energies within 1e-11 of the matrix scale and the driver's
+    vectors within 1e-9 of dstebz at ABSTOL = 0, no state's residual above
+    the full-precision solves' largest, and no fallback."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
     grid = make_grid(-1.0, 9.0, n)
@@ -109,7 +107,7 @@ def test_loose_bisection_agrees_with_full_precision_on_the_depth_curves(caplog, 
         h = assemble(ModelParams(4.0, alpha), grid)
         d, e = h.diagonal, h.off_diagonal
         scale = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
-        w, v = _lapack.lowest_eigenpairs(d, e, 5)
+        w, v = solve(h, 5).energies, _lapack.lowest_eigenvectors(d, e, 5)
         w_full, v_full = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 4))
         np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-11 * scale)
         np.testing.assert_allclose(v, v_full, rtol=0, atol=1e-9)
@@ -138,9 +136,8 @@ def test_fallback_is_the_full_precision_result_and_logs_once(request, caplog, ro
     if route == "scipy":
         request.getfixturevalue("scipy_source")
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
-    w, v = _lapack.lowest_eigenpairs(d, e, k)
-    w_full, v_full = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    np.testing.assert_array_equal(w, w_full)
+    v = _lapack.lowest_eigenvectors(d, e, k)
+    _, v_full = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     np.testing.assert_array_equal(v, v_full)
     [record] = fallback_records(caplog)
     assert record.levelno == logging.DEBUG and f"k = {k}:" in record.getMessage()
@@ -152,28 +149,28 @@ SPLIT_D = np.array([2.0, 3.0, 5.0, 7.0, 0.5, 1.0, 2.5, 4.0])
 SPLIT_E = np.array([-1.0, -1.0, -1.0, 0.0, -1.0, -1.0, -1.0])
 
 
-def test_split_matrix_falls_back_on_the_ctypes_route(ctypes_route, caplog):
+def assert_split_matrix_falls_back(caplog):
+    """The driver's vectors are eigh_tridiagonal's at ABSTOL = 0, with one
+    DEBUG record, and solve's energies their Rayleigh quotients."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
-    w, v = _lapack.lowest_eigenpairs(SPLIT_D, SPLIT_E, 3)
-    w_full, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i",
-                                                   select_range=(0, 2))
-    np.testing.assert_array_equal(w, w_full)
+    v = _lapack.lowest_eigenvectors(SPLIT_D, SPLIT_E, 3)
+    _, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i", select_range=(0, 2))
     np.testing.assert_array_equal(v, v_full)
     [record] = fallback_records(caplog)
     assert "k = 3:" in record.getMessage()
+    h = DiscreteHamiltonian(diagonal=SPLIT_D, off_diagonal=SPLIT_E, grid=make_grid(0.0, 1.0, 10),
+                            params=ModelParams(4.0, 1.0))
+    np.testing.assert_array_equal(solve(h, 3).energies,
+                                  [rayleigh_quotient(h, psi) for psi in v_full.T])
+
+
+def test_split_matrix_falls_back_on_the_ctypes_route(ctypes_route, caplog):
+    assert_split_matrix_falls_back(caplog)
 
 
 def test_split_matrix_falls_back_on_the_scipy_source(scipy_source, caplog):
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-    caplog.set_level(logging.DEBUG, logger="snwell._lapack")
-    w, v = _lapack.lowest_eigenpairs(SPLIT_D, SPLIT_E, 3)
-    w_full, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i",
-                                                   select_range=(0, 2))
-    np.testing.assert_array_equal(w, w_full)
-    np.testing.assert_array_equal(v, v_full)
-    [record] = fallback_records(caplog)
-    assert "k = 3:" in record.getMessage()
+    assert_split_matrix_falls_back(caplog)
 
 
 def test_heavy_particle_matrix_splits_and_solve_falls_back(ctypes_route, caplog):
@@ -194,7 +191,7 @@ def test_heavy_particle_matrix_splits_and_solve_falls_back(ctypes_route, caplog)
 def test_dstebz_info_raises_numerical_error(ctypes_route, deep_h):
     # more eigenvalues than rows: dstebz rejects IU (argument 7)
     with pytest.raises(NumericalError, match=r"dstebz failed \(info = -7\)") as excinfo:
-        _lapack.lowest_eigenpairs(deep_h.diagonal, deep_h.off_diagonal, deep_h.diagonal.size + 1)
+        _lapack.lowest_eigenvectors(deep_h.diagonal, deep_h.off_diagonal, deep_h.diagonal.size + 1)
     assert excinfo.value.state_index is None
 
 
@@ -252,7 +249,7 @@ def test_loose_pass_dstein_failure_raises_on_both_sources(request, monkeypatch, 
     monkeypatch.setattr(_lapack, "_routines", lambda: (real_stebz, unconverged_stein))
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
     with pytest.raises(NumericalError, match=r"dstein failed \(info = 1\)") as excinfo:
-        _lapack.lowest_eigenpairs(deep_h.diagonal, deep_h.off_diagonal, 4)
+        _lapack.lowest_eigenvectors(deep_h.diagonal, deep_h.off_diagonal, 4)
     assert calls == [4] and fallback_records(caplog) == []
     assert excinfo.value.state_index == (0 if source == "ctypes_route" else None)
 
@@ -261,6 +258,6 @@ def test_malformed_matrix_rejected_before_lapack(deep_h):
     d = deep_h.diagonal.copy()
     d[10] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
-        _lapack.lowest_eigenpairs(d, deep_h.off_diagonal, 3)
+        _lapack.lowest_eigenvectors(d, deep_h.off_diagonal, 3)
     with pytest.raises(ValueError, match="off-diagonal"):
-        _lapack.lowest_eigenpairs(deep_h.diagonal, deep_h.off_diagonal[:-1], 3)
+        _lapack.lowest_eigenvectors(deep_h.diagonal, deep_h.off_diagonal[:-1], 3)

@@ -57,8 +57,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_no_module_names_eigh_tridiagonal():
-    # _lapack.lowest_eigenpairs is the one eigensolver driver: numpy's and
-    # scipy's LAPACK only supply the dstebz and dstein it calls
+    # _lapack.lowest_eigenvectors is the one eigensolver driver: numpy's and
+    # scipy's LAPACK only supply the dstebz and dstein it calls, and solve
+    # takes each energy from its vector
     named = []
     for path in sorted(Path(snwell.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
