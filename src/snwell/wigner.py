@@ -58,11 +58,11 @@ Only _region_integrals reads a cached phase table: the level prefix table T
 (see _PrefixBuild), (L + 1) x (number of levels + 1) doubles, so (L + 1) x
 (ceil(n_p / 2) + 1) on a mirrored momentum grid, 2.9 MB at N = n_p = 1201,
 built once per (x grid, p grid, hbar) and shared by concurrent sweep
-points.  Its build is cooperative: the cache entry holds the table and its
-unbuilt row blocks, every sweep point that finds the table unfinished
-builds blocks that no other has claimed, and it waits only for the blocks
-others are still building.  The cosines release the interpreter lock, so
-two workers build them at once; the cumsum holds it.  wigner_transform
+points.  Its build is cooperative: the cache entry holds the table and a
+lock per row block, every sweep point that finds the table unfinished
+builds the blocks whose locks are free, and it waits only on the locks of
+the blocks others are still building.  The cosines release the interpreter
+lock, so two workers build them at once; the cumsum holds it.  wigner_transform
 computes its (L + 1) x (number of levels) cosines on each call, 7 % of its
 time at N = 599 and 17 % at N = 2401, so a Wigner sweep, which takes its
 probabilities from the fields, holds no table.
@@ -143,9 +143,8 @@ class WignerField:
     momentum_grid: MomentumGrid
 
 
-# guards the prefix-table cache and every entry's block bookkeeping; callers
-# wait on it for the blocks that others are building
-_kernel_lock = threading.Condition()
+# guards only the prefix-table cache lookup; each row block has its own lock
+_kernel_lock = threading.Lock()
 # each thread's _region_integrals block buffers, freed when it exits
 _blocks = threading.local()
 
@@ -167,8 +166,9 @@ def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
     """The cached prefix table (see _PrefixBuild), complete and read-only.
 
     Sweep points that start together share its build: each caller that
-    finds the table unfinished builds row blocks nobody has claimed, and
-    waits only when none is left, so every caller returns the same array.
+    finds the table unfinished builds the row blocks nobody else is
+    building, then waits for the rest, so every caller returns the same
+    array.
     """
     with _kernel_lock:
         build = _prefix_build(xg, pg, hbar)
@@ -176,7 +176,7 @@ def _prefix_table(xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> np.ndarray:
 
 
 class _PrefixBuild:
-    """The prefix table and its row blocks not yet built.
+    """The prefix table, its row blocks and a lock for each.
 
     table[l, r] = c_l times the sum over the levels i < r of
     m_i cos(eta_l q_i / hbar), q = pg.levels and m = pg.counts,
@@ -190,8 +190,8 @@ class _PrefixBuild:
     summed along the row, and row 0 halved (both factors of 2 exact).  Each
     entry and each row's sum is computed the same way whatever the block
     size or the caller that builds it, so the table does not depend on
-    them.  A block whose build raises is returned for a later caller to
-    build.
+    them.  A block is built under its lock, and one whose build raises is
+    built by the next caller that takes the lock.
     """
 
     def __init__(self, xg: SpatialGrid, pg: MomentumGrid, hbar: float) -> None:
@@ -205,8 +205,8 @@ class _PrefixBuild:
         self.hbar = hbar
         self.rows = max(1, _BLOCK_DOUBLES // pg.levels.size)
         self.table = np.empty((lmax + 1, self.levels.size))
-        self.unclaimed = list(range(0, lmax + 1, self.rows))  # first rows of free blocks
-        self.unbuilt = len(self.unclaimed)  # blocks unclaimed or being built
+        self.blocks = [(l0, threading.Lock()) for l0 in range(0, lmax + 1, self.rows)]
+        self.built = set()  # first rows of the blocks built
 
     def build_rows(self, l0: int) -> None:
         """Build the block of rows from l0 in place."""
@@ -218,26 +218,20 @@ class _PrefixBuild:
             block[0] *= 0.5
 
     def table_when_built(self) -> np.ndarray:
-        """Build unclaimed blocks until none is left, then wait for the rest."""
-        while True:
-            with _kernel_lock:
-                while self.unbuilt and not self.unclaimed:
-                    _kernel_lock.wait()
-                if not self.unbuilt:
-                    return self.table
-                l0 = self.unclaimed.pop()
-            try:
-                self.build_rows(l0)
-            except BaseException:
-                with _kernel_lock:
-                    self.unclaimed.append(l0)
-                    _kernel_lock.notify_all()
-                raise
-            with _kernel_lock:
-                self.unbuilt -= 1
-                if not self.unbuilt:
-                    self.table.flags.writeable = False
-                    _kernel_lock.notify_all()
+        """Build every block whose lock is free, then wait on the others' locks
+        and build any block still not built (its builder raised); read-only."""
+        if self.table.flags.writeable:
+            for wait in (False, True):
+                for l0, lock in self.blocks:
+                    if lock.acquire(wait):
+                        try:
+                            if l0 not in self.built:
+                                self.build_rows(l0)
+                                self.built.add(l0)
+                        finally:
+                            lock.release()
+            self.table.flags.writeable = False
+        return self.table
 
 
 # the one cache: an entry per (x grid, p grid, hbar), made under _kernel_lock

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -738,13 +739,18 @@ def test_prefix_table_builds_without_the_cosine_table():
     assert peak <= prefix.nbytes + 0.25e6
 
 
-def test_phase_kernel_is_cached_and_read_only(saddle_grid, momentum_grid):
+def test_phase_kernel_is_cached_and_read_only(monkeypatch, saddle_grid, momentum_grid):
     same_grids = (make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599))
     table = _prefix_table(saddle_grid, momentum_grid, 1.0)
     assert _prefix_table(*same_grids, 1.0) is table
     assert _prefix_table(saddle_grid, momentum_grid, 2.0) is not table
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
+    # a finished table is never rebuilt, whatever the callers
+    built = recording_block_builds(monkeypatch)
+    later = call_on_threads(lambda: _prefix_table(*same_grids, 1.0), 3)
+    assert all(t is table for t in later)
+    assert built == []
 
 
 def recording_block_builds(monkeypatch, before=None):
@@ -828,44 +834,29 @@ def test_concurrent_callers_share_the_prefix_build(monkeypatch, callers):
             first_blocks.add(thread)
             all_building.wait(timeout=10)
 
+    def fetch():
+        table = _prefix_table(xg, pg, 0.7)
+        return table, table.tobytes()  # the table as its caller first sees it
+
     built = recording_block_builds(monkeypatch, meet_once)
     _prefix_build.cache_clear()
-    tables = call_on_threads(lambda: _prefix_table(xg, pg, 0.7), callers)
+    tables, snapshots = zip(*call_on_threads(fetch, callers), strict=True)
     assert all(table is tables[0] for table in tables)
     assert not tables[0].flags.writeable
-    assert tables[0].tobytes() == reference_tables(xg, pg, 0.7)[1].tobytes()
+    reference = reference_tables(xg, pg, 0.7)[1].tobytes()
+    assert all(snapshot == reference for snapshot in snapshots)
     assert sorted(l0 for _, l0 in built) == list(range(0, 75, 3))  # each block once
     assert len({thread for thread, _ in built}) == callers
     assert _prefix_build.cache_info().misses == 1
 
 
-class CountedCondition(threading.Condition):
-    """A condition that counts the threads waiting on it."""
-
-    def __init__(self):
-        super().__init__()
-        self.waiting = 0
-        self.changed = threading.Condition()
-
-    def wait(self, timeout=None):
-        with self.changed:
-            self.waiting += 1
-            self.changed.notify_all()
-        try:
-            return super().wait(timeout)
-        finally:
-            with self.changed:
-                self.waiting -= 1
-
-
 @pytest.mark.parametrize("callers", [1, 4], ids=["alone", "among_four"])
 def test_a_failed_prefix_block_is_built_by_a_later_caller(monkeypatch, callers):
     # the first block raises once, when every other caller has built the other
-    # blocks and waits for it; its block goes back, and they finish the table
+    # blocks; its lock is released, and a caller waiting on it builds it
     xg, pg = make_grid(-1.0, 9.0, 149), make_momentum_grid(-6.0, 6.0, 149)
     monkeypatch.setattr(snwell.wigner, "_BLOCK_DOUBLES", 3 * 75)
-    lock = CountedCondition()
-    monkeypatch.setattr(snwell.wigner, "_kernel_lock", lock)
+    others = 24 if callers > 1 else 0  # the blocks the other callers build
     failed, first = [], threading.Lock()
 
     def fail_once(thread, l0):
@@ -873,8 +864,10 @@ def test_a_failed_prefix_block_is_built_by_a_later_caller(monkeypatch, callers):
             if failed:
                 return
             failed.append(l0)
-        with lock.changed:
-            assert lock.changed.wait_for(lambda: lock.waiting == callers - 1, timeout=10)
+        deadline = time.monotonic() + 10
+        while len(built) < others:
+            assert time.monotonic() < deadline
+            time.sleep(1e-3)
         raise MemoryError("injected")
 
     built = recording_block_builds(monkeypatch, fail_once)
