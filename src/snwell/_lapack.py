@@ -129,12 +129,11 @@ def _separated(w: np.ndarray | None, k: int, abstol: float) -> bool:
 
 
 def lowest_eigenvectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
-    """Eigenvectors (columns) of the k lowest eigenvalues of tridiag(e, d, e), ascending.
-
-    Bitwise equal, from either source, to the lowest k columns of
-    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k),
-    tol=ABSTOL) where the guard holds, and to its select_range=(0, k - 1)
-    at ABSTOL = 0 where it falls back.
+    """The k lowest eigenvectors of tridiag(e, d, e) as the rows of a
+    C-contiguous (k, n) array, ascending: bitwise, from either source, the
+    transpose of the lowest k columns of scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(0, k), tol=ABSTOL) where the guard holds, and
+    of its select_range=(0, k - 1) at ABSTOL = 0 where it falls back.
     Raises ValueError when the shapes do not fit, and NumericalError on a
     non-finite entry or when either routine reports a nonzero info; a vector
     numpy's dstein could not converge carries its state index.
@@ -161,4 +160,4 @@ def lowest_eigenvectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     if info:
         failed = None if info < 0 or ifail is None else int(np.argsort(order)[ifail[0] - 1])
         raise NumericalError(f"LAPACK dstein failed (info = {info})", state_index=failed)
-    return z[:, order]
+    return z.T[order]

@@ -14,8 +14,8 @@ line, and `fail_fast` takes `true`, `yes`, `1` or `on`, or `false`, `no`,
     outputs = spectrum observables probability contours
     out = results
 
-A flag replaces the file's value of its key; `--alpha` or `--alpha-range`
-replaces both of the file's alpha keys.
+A flag replaces the file's value of its key.  A file sets `alpha` or
+`alpha_range`, not both, and `--alpha` or `--alpha-range` replaces either.
 
 Exit status: 0 on full success, 1 if any sweep point failed or records.csv
 could not be written, 2 on a configuration problem in the file or the flags
@@ -150,6 +150,9 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         if key in seen and key != "alpha":
             raise ConfigurationError(f"{path}:{lineno}: config key '{key}' repeats")
         seen.add(key)
+        if {"alpha", "alpha_range"} <= seen:
+            raise ConfigurationError(
+                f"{path}:{lineno}: alpha and alpha_range are mutually exclusive")
         nargs, flag = actions[key].nargs, actions[key].option_strings[0]
         if nargs == 0:
             tokens = _fail_fast_token(value, f"{path}:{lineno}")

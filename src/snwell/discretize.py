@@ -78,19 +78,15 @@ class DiscreteHamiltonian:
     params: ModelParams
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix product with an interior-point vector (N - 2,) or with a
-        block of such vectors as columns (N - 2, k); each column's entries are
-        computed as for the column alone."""
-        if v.ndim not in (1, 2) or v.shape[0] != self.diagonal.size:
-            raise ValueError(
-                f"shape {v.shape} is not ({self.diagonal.size},) or ({self.diagonal.size}, k)"
-            )
-        diagonal, off = self.diagonal, self.off_diagonal
-        if v.ndim == 2:
-            diagonal, off = diagonal[:, None], off[:, None]
-        out = diagonal * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
+        """Matrix product with an interior-point vector (N - 2,) or with each
+        row of a block (k, N - 2); each row's entries are computed as for the
+        row alone."""
+        m = self.diagonal.size
+        if v.ndim not in (1, 2) or v.shape[-1] != m:
+            raise ValueError(f"shape {v.shape} is not ({m},) or (k, {m})")
+        out = self.diagonal * v
+        out[..., :-1] += self.off_diagonal * v[..., 1:]
+        out[..., 1:] += self.off_diagonal * v[..., :-1]
         return out
 
 

@@ -7,9 +7,10 @@ build does not export them), which is deterministic bit-for-bit for
 identical inputs and needs O(N k) memory.  The bisection stops at a loose
 tolerance, 2^-28 of the matrix scale, where the k + 1 lowest eigenvalues
 are well separated, and otherwise runs to full precision (see _lapack).
-Either way each energy is the Rayleigh quotient psi^T H psi / psi^T psi of
-its own vector: its error is quadratic in the vector's, and it minimizes
-the residual (Parlett, The Symmetric Eigenvalue Problem, 1998).
+Either way each energy is the Rayleigh quotient z^T H z / z^T z of its
+own vector z: its error is quadratic in the vector's, and it minimizes the
+residual (Parlett, The Symmetric Eigenvalue Problem, 1998).  H is applied
+once to the solver's rows, and the energies and residuals share that product.
 On top of that this module enforces the conventions every downstream
 consumer relies on:
 
@@ -21,9 +22,9 @@ consumer relies on:
   eigenvalues (every off-diagonal is nonzero), and two returned eigenvalues
   closer than 1e-9 max(|E|, 1), where no vector would be well defined, raise
   NumericalError instead of being returned,
-* every returned pair satisfies the residual bound
-  max|H psi - E psi| <= 1e-8 * scale(H), else NumericalError (a NaN fails it),
-  and carries the residual it was checked with.
+* every returned pair satisfies the residual bound max|H z - E z| /
+  sqrt(sum(z^2) dx) <= 1e-8 * scale(H), which is max|H psi - E psi| up to
+  rounding, else NumericalError (a NaN fails it), and carries that residual.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class EigenState:
     boundary_amplitude is max(|psi|) over the first and last interior points;
     values that are not small signal a state leaning on the Dirichlet window
     (plane-wave-like behaviour at the box edge) rather than a converged bound
-    state.  residual is max|H psi - E psi| over the interior points: the
-    number solve checked against the residual bound.
+    state.  residual is max|H z - E z| / sqrt(sum(z^2) dx) for the solver's
+    interior vector z (max|H psi - E psi| up to rounding), as solve checked it.
     """
 
     index: int
@@ -78,18 +79,17 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
     Raises ConfigurationError when k is out of 1..N-2 and NumericalError
     (carrying the offending state index where known, the lowest where
     several fail) when convergence, the cluster check or the residual bound
-    fails.  Every step takes all k vectors in one array operation, each
-    vector's numbers computed as for the vector alone; the states' values
-    are the rows of one k x N array.
+    fails.  Every step takes all k rows in one array operation, each row's
+    numbers computed as for the row alone; the states' values are the rows
+    of one k x N array.
     """
     m = h.diagonal.size
     if not 1 <= k <= m:
         raise ConfigurationError(f"k must be in 1..{m}, got {k}")
-    # one contiguous row per state, so that each row's sum is the pairwise
-    # sum of the vector alone, whatever layout the solver returned
-    rows = np.ascontiguousarray(_lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k).T)
+    rows = _lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k)
+    products = h.apply(rows)
     squares = np.sum(rows * rows, axis=1)
-    w = np.sum(rows * h.apply(rows.T).T, axis=1) / squares
+    w = np.sum(rows * products, axis=1) / squares
 
     close = np.flatnonzero(np.diff(w) < CLUSTER_RTOL * np.maximum(np.abs(w[1:]), 1.0))
     if close.size:
@@ -99,10 +99,9 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
             state_index=i,
         )
 
-    off_bound = 2.0 * float(np.max(np.abs(h.off_diagonal)))
-    scale = float(np.max(np.abs(h.diagonal))) + off_bound
-    interior = rows / np.sqrt(squares * h.grid.dx)[:, None]
-    residuals = np.max(np.abs(h.apply(interior.T) - w * interior.T), axis=0)
+    scale = float(np.max(np.abs(h.diagonal))) + 2.0 * float(np.max(np.abs(h.off_diagonal)))
+    norms = np.sqrt(squares * h.grid.dx)
+    residuals = np.max(np.abs(products - w[:, None] * rows), axis=1) / norms
     failed = np.flatnonzero(~(residuals <= RESIDUAL_RTOL * scale))  # a NaN fails too
     if failed.size:
         i = int(failed[0])
@@ -111,7 +110,7 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
             state_index=i,
         )
     values = np.zeros((k, h.grid.n_points))
-    values[:, 1:-1] = interior
+    values[:, 1:-1] = rows / norms[:, None]
     # flip each row whose first entry of largest magnitude is negative; the
     # flip takes in the endpoint zeros, which become -0.0
     peak = values[np.arange(k), np.argmax(np.abs(values), axis=1)]

@@ -400,13 +400,10 @@ def _grid_rows(values: np.ndarray) -> Iterator[str]:
     values = np.asarray(values, dtype=np.float64)
     half = values.shape[1] // 2
     bits = values.view(np.uint64)
-    if np.array_equal(bits[:, :half], bits[:, ::-1][:, :half]):
-        for row in values[:, half:]:
-            right = list(map(repr, row.tolist()))
-            yield " ".join(right[::-1][:half] + right)
-    else:
-        for row in values:
-            yield " ".join(map(repr, row.tolist()))
+    start = half if np.array_equal(bits[:, :half], bits[:, ::-1][:, :half]) else 0
+    for row in values[:, start:]:
+        right = list(map(repr, row.tolist()))
+        yield " ".join(right[::-1][:start] + right)
 
 
 def load_wigner_grid(path) -> tuple[WignerField, dict]:

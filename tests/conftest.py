@@ -1,4 +1,6 @@
 import functools
+import hashlib
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -39,6 +41,15 @@ def rayleigh_quotient(h, psi):
     summed over its own contiguous copy."""
     psi = np.ascontiguousarray(psi)
     return float(np.sum(psi * h.apply(psi)) / np.sum(psi * psi))
+
+
+def tree_digest(root):
+    """The sha256 of every file under root, keyed by its path relative to root."""
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(Path(root).rglob("*"))
+        if p.is_file()
+    }
 
 
 @functools.cache

@@ -15,9 +15,6 @@ property of the specified system, not an implementation artifact.
 States n = 0 and n = 1 are strictly monotone as required.
 """
 
-import hashlib
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -37,7 +34,7 @@ from snwell import (
     wigner_transform,
 )
 
-from conftest import fd_hamiltonian
+from conftest import fd_hamiltonian, tree_digest
 
 
 def report(cid, description, ok, detail=""):
@@ -206,14 +203,6 @@ def test_7_nonreactive_probability_endpoints(deep_probabilities, saddle_grid, mo
         f"deep n=0 {deep_probabilities[0]:.4f}, shallow n=1..4 max {max(shallow_probs[1:]):.4f}, "
         f"decreasing {bool(decreasing)}",
     )
-
-
-def tree_digest(root):
-    return {
-        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(Path(root).rglob("*"))
-        if p.is_file()
-    }
 
 
 def test_8_default_sweep_is_deterministic_serial_and_parallel(tmp_path):

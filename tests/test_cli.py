@@ -218,6 +218,7 @@ BAD_LINES = {
     "alpha = 1\nalpha = x\n": 2,
     "alpha = 1\n\nalpha = 2\nalpha = 3 4\n": 4,
     "mu = 4\nthreads = two\n": 2,
+    "alpha = 1\nalpha_range = 1 2 3\n": 2,
 }
 
 

@@ -154,7 +154,7 @@ def _patched_solver(monkeypatch, edit):
 
 def test_nan_eigenvalue_fails_the_residual_check(monkeypatch, saddle_grid, deep_params):
     def poison(v):
-        v[10, 2] = np.nan
+        v[2, 10] = np.nan
 
     _patched_solver(monkeypatch, poison)
     with pytest.raises(NumericalError, match="residual") as excinfo:
@@ -164,7 +164,7 @@ def test_nan_eigenvalue_fails_the_residual_check(monkeypatch, saddle_grid, deep_
 
 def test_clustered_eigenvalues_raise(monkeypatch, saddle_grid, deep_params):
     def merge(v):
-        v[:, 2] = v[:, 1]
+        v[2] = v[1]
 
     _patched_solver(monkeypatch, merge)
     with pytest.raises(NumericalError, match="cluster") as excinfo:
@@ -175,17 +175,17 @@ def test_clustered_eigenvalues_raise(monkeypatch, saddle_grid, deep_params):
 def per_column_reference(h, k):
     """solve's conventions taken one eigenvector at a time:
     (energy, psi, amplitude, residual), the energy the Rayleigh quotient of
-    the driver's vector, the residual that of the flipped psi."""
-    v = snwell._lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k)
-    w = [rayleigh_quotient(h, column) for column in v.T]
+    the driver's row z, the residual max|H z - E z| / sqrt(sum(z^2) dx)."""
     out = []
-    for i in range(k):
+    for z in snwell._lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k):
+        w = rayleigh_quotient(h, z)
+        norm = math.sqrt(float(np.sum(z * z)) * h.grid.dx)
         psi = np.zeros(h.grid.n_points)
-        psi[1:-1] = v[:, i] / math.sqrt(float(np.sum(v[:, i] ** 2)) * h.grid.dx)
+        psi[1:-1] = z / norm
         if psi[int(np.argmax(np.abs(psi)))] < 0:
             psi = -psi
-        residual = float(np.max(np.abs(h.apply(psi[1:-1]) - w[i] * psi[1:-1])))
-        out.append((float(w[i]), psi, float(max(abs(psi[1]), abs(psi[-2]))), residual))
+        residual = float(np.max(np.abs(h.apply(z) - w * z))) / norm
+        out.append((w, psi, float(max(abs(psi[1]), abs(psi[-2]))), residual))
     return out
 
 
@@ -195,13 +195,12 @@ def per_column_reference(h, k):
 def test_solve_equals_the_per_column_reference_bitwise(monkeypatch, n, k, negate):
     if negate:
         # LAPACK returns each vector with its largest entry positive; negating
-        # every other one makes the sign rule flip them back.  The copy is in
-        # C order, where LAPACK's block is in Fortran order
+        # every other one makes the sign rule flip them back
         real = snwell._lapack.lowest_eigenvectors
 
         def negated(*args):
             v = real(*args).copy()
-            v[:, 1::2] *= -1.0
+            v[1::2] *= -1.0
             return v
 
         monkeypatch.setattr(snwell._lapack, "lowest_eigenvectors", negated)
@@ -220,8 +219,8 @@ def test_solve_equals_the_per_column_reference_bitwise(monkeypatch, n, k, negate
 
 def test_two_residual_failures_report_the_lower_state(monkeypatch, saddle_grid, deep_params):
     def mix(v):
-        v[:, 3] += 1e-2 * v[:, 0]
-        v[:, 1] += 1e-2 * v[:, 0]
+        v[3] += 1e-2 * v[0]
+        v[1] += 1e-2 * v[0]
 
     _patched_solver(monkeypatch, mix)
     with pytest.raises(NumericalError, match="residual .* for state 1") as excinfo:

@@ -50,8 +50,8 @@ def loose_reference(scipy_linalg, d, e, k):
 
 
 def assert_bitwise_the_reference(n):
-    """The driver's vectors are the reference's, and solve's energies their
-    Rayleigh quotients, one column at a time."""
+    """The driver's rows are the reference's columns, and solve's energies
+    their Rayleigh quotients, one vector at a time."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
     grid = make_grid(-1.0, 9.0, n)
     for alpha in ALPHAS:
@@ -59,8 +59,7 @@ def assert_bitwise_the_reference(n):
         for k in (1, 5, 12):
             v = _lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k)
             v_ref = loose_reference(scipy_linalg, h.diagonal, h.off_diagonal, k)
-            assert v.shape == (n - 2, k)
-            np.testing.assert_array_equal(v, v_ref)
+            np.testing.assert_array_equal(v, v_ref.T)
             energies = solve(h, k).energies
             np.testing.assert_array_equal(energies, [rayleigh_quotient(h, psi) for psi in v_ref.T])
         if alpha >= 5.0:
@@ -75,6 +74,17 @@ def test_ctypes_route_equals_eigh_tridiagonal_bitwise(ctypes_route, n):
 @pytest.mark.parametrize("n", [149, 599, 1201])
 def test_scipy_source_equals_eigh_tridiagonal_bitwise(scipy_source, n):
     assert_bitwise_the_reference(n)
+
+
+@pytest.mark.parametrize("source", ["ctypes_route", "scipy_source"], ids=["numpy", "scipy"])
+def test_driver_returns_one_c_contiguous_row_per_state_ascending(request, deep_h, source):
+    request.getfixturevalue(source)
+    split_h = DiscreteHamiltonian(diagonal=SPLIT_D, off_diagonal=SPLIT_E,
+                                  grid=make_grid(0.0, 1.0, 10), params=ModelParams(4.0, 1.0))
+    for h, k in ((deep_h, 1), (deep_h, 7), (split_h, 3)):  # the split matrix falls back
+        v = _lapack.lowest_eigenvectors(h.diagonal, h.off_diagonal, k)
+        assert v.shape == (k, h.diagonal.size) and v.flags.c_contiguous
+        assert (np.diff([rayleigh_quotient(h, row) for row in v]) > 0).all()
 
 
 def test_fallback_when_the_symbols_are_missing_gives_the_same_spectrum(
@@ -110,9 +120,10 @@ def test_loose_bisection_agrees_with_full_precision_on_the_depth_curves(caplog, 
         w, v = solve(h, 5).energies, _lapack.lowest_eigenvectors(d, e, 5)
         w_full, v_full = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 4))
         np.testing.assert_allclose(w, w_full, rtol=0, atol=1e-11 * scale)
-        np.testing.assert_allclose(v, v_full, rtol=0, atol=1e-9)
-        residuals.append(np.max(np.abs(h.apply(v) - w * v), axis=0))
-        full_residuals.append(np.max(np.abs(h.apply(v_full) - w_full * v_full), axis=0))
+        np.testing.assert_allclose(v, v_full.T, rtol=0, atol=1e-9)
+        residuals.append(np.max(np.abs(h.apply(v) - w[:, None] * v), axis=1))
+        full_residuals.append(np.max(np.abs(h.apply(v_full.T) - w_full[:, None] * v_full.T),
+                                     axis=1))
     assert np.max(residuals) <= np.max(full_residuals)
     assert fallback_records(caplog) == []
 
@@ -138,7 +149,7 @@ def test_fallback_is_the_full_precision_result_and_logs_once(request, caplog, ro
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
     v = _lapack.lowest_eigenvectors(d, e, k)
     _, v_full = scipy_linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
-    np.testing.assert_array_equal(v, v_full)
+    np.testing.assert_array_equal(v, v_full.T)
     [record] = fallback_records(caplog)
     assert record.levelno == logging.DEBUG and f"k = {k}:" in record.getMessage()
 
@@ -156,7 +167,7 @@ def assert_split_matrix_falls_back(caplog):
     caplog.set_level(logging.DEBUG, logger="snwell._lapack")
     v = _lapack.lowest_eigenvectors(SPLIT_D, SPLIT_E, 3)
     _, v_full = scipy_linalg.eigh_tridiagonal(SPLIT_D, SPLIT_E, select="i", select_range=(0, 2))
-    np.testing.assert_array_equal(v, v_full)
+    np.testing.assert_array_equal(v, v_full.T)
     [record] = fallback_records(caplog)
     assert "k = 3:" in record.getMessage()
     h = DiscreteHamiltonian(diagonal=SPLIT_D, off_diagonal=SPLIT_E, grid=make_grid(0.0, 1.0, 10),
