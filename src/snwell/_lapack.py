@@ -13,7 +13,8 @@ The OpenBLAS bundled with numpy's wheels exports both routines with 64-bit
 integers; called through ctypes, they cost no scipy import, and the
 interpreter lock is released while LAPACK runs.  Where numpy's library or
 either symbol is missing (conda or MKL builds), scipy.linalg.lapack's
-wrappers of the same routines serve instead, with the same results.
+wrappers of the same routines serve instead, with the same results; the
+`lapack` extra names scipy for such builds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["lowest_eigenvectors"]
+__all__ = ["lapack_source", "lowest_eigenvectors"]
 
 SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_")
 TOL_FACTOR = 2.0**-28  # ABSTOL per unit of max|d| + 2 max|e|; a power of 2 keeps scalings exact
@@ -83,6 +84,7 @@ def _ctypes_routines():
         )
         return z, info.value, ifail
 
+    stebz.source = "numpy's LAPACK"
     return stebz, stein
 
 
@@ -91,7 +93,8 @@ def _scipy_routines():
     try:
         from scipy.linalg.lapack import dstebz, dstein
     except ImportError as exc:
-        raise ImportError("this numpy exports no LAPACK dstebz/dstein; install scipy") from exc
+        raise ImportError("this numpy exports no LAPACK dstebz/dstein and scipy is missing; "
+                          "install scipy, e.g. pip install 'snwell[lapack]'") from exc
 
     def stebz(d, e, count, tol):
         m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, count, tol, "B")  # 2: 'I'
@@ -100,6 +103,7 @@ def _scipy_routines():
     def stein(d, e, w, iblock, isplit):
         return (*dstein(d, e, w, iblock, isplit), None)
 
+    stebz.source = "scipy.linalg.lapack"
     return stebz, stein
 
 
@@ -113,6 +117,13 @@ def _routines():
     computes their vectors, with ifail None where the source hides it.
     """
     return _ctypes_routines() or _scipy_routines()
+
+
+def lapack_source() -> str:
+    """Where lowest_eigenvectors takes dstebz and dstein from, found once per
+    process: "numpy's LAPACK" or "scipy.linalg.lapack".  Raises ImportError,
+    naming the `lapack` extra, where neither source has them."""
+    return _routines()[0].source
 
 
 def _separated(w: np.ndarray | None, k: int, abstol: float) -> bool:

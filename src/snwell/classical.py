@@ -108,7 +108,12 @@ def contour_points(params: ModelParams, e: float, grid) -> np.ndarray:
     kinetic = e - potential(params, grid.points)
     keep = kinetic >= -TURNING_POINT_RTOL * max(1.0, abs(e))
     xs = grid.points[keep]
-    ps = np.sqrt(2.0 * params.mass * np.clip(kinetic[keep], 0.0, None))
+    kinetic = np.clip(kinetic[keep], 0.0, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ps = np.sqrt(2.0 * params.mass * kinetic)
+    # where 2 m (e - V) passes the largest double, as a product of square roots
+    wide = ~np.isfinite(ps)
+    ps[wide] = np.sqrt(kinetic[wide]) * (math.sqrt(2.0) * math.sqrt(params.mass))
     out = np.empty((2 * xs.size, 2))
     out[0::2, 0] = xs
     out[0::2, 1] = ps

@@ -102,7 +102,8 @@ def _alpha_list(start: float, stop: float, count: float) -> tuple[float, ...]:
     if not math.isfinite(count) or count != int(count) or count < 1:
         raise ConfigurationError(f"alpha range count must be a positive integer, got {count}")
     try:
-        return tuple(np.linspace(start, stop, int(count)).tolist())
+        with np.errstate(all="ignore"):  # SweepConfig rejects a non-finite alpha
+            return tuple(np.linspace(start, stop, int(count)).tolist())
     except (ValueError, MemoryError) as exc:  # a count too large to allocate
         raise ConfigurationError(f"alpha range count {count:g} is too large: {exc}") from exc
 
@@ -164,10 +165,14 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
             raise ConfigurationError(
                 f"{path}:{lineno}: '{key}' needs {nargs} values, got {value!r}")
         # each line is parsed on its own into the one namespace, so that an
-        # error names its line and the alpha lines append to one list
+        # error names its line and the alpha lines append to one list; an
+        # alpha_range line becomes its alpha values, its count checked there
         try:
             namespace, extra = parser.parse_known_args(tokens, namespace)
-        except argparse.ArgumentError as exc:
+            if key == "alpha_range":
+                namespace.alpha_values = _alpha_list(*namespace.alpha_range)
+                namespace.alpha_range = None
+        except (argparse.ArgumentError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
         if extra:
             raise ConfigurationError(f"{path}:{lineno}: unexpected values {extra}")

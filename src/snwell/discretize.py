@@ -44,7 +44,8 @@ def uniform_points(a: float, b: float, n: int) -> np.ndarray:
         j = np.arange(n, dtype=float)
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"{n} grid points are too many to allocate: {exc}") from exc
-    pts = (a * (n - 1 - j) + b * j) / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the ascending check catches both
+        pts = (a * (n - 1 - j) + b * j) / (n - 1)
     pts[0] = a
     pts[-1] = b
     if not np.all(pts[1:] > pts[:-1]):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import sys
 from pathlib import Path
 
 import hypothesis
@@ -16,6 +17,7 @@ from snwell import (
     potential,
     solve,
 )
+from snwell import _lapack
 
 hypothesis.settings.register_profile("ci", deadline=None, max_examples=100)
 hypothesis.settings.load_profile("ci")
@@ -117,3 +119,14 @@ def deep_params():
 def deep_spectrum(saddle_grid, deep_params):
     """Deep-well instance (D = 32/3) with the first seven states."""
     return solve(assemble(deep_params, saddle_grid), 7)
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Neither numpy's dstebz/dstein nor scipy: the LAPACK source is looked
+    up afresh in the test, and again after it."""
+    monkeypatch.setattr(_lapack, "_ctypes_routines", lambda: None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)  # import fails
+    _lapack._routines.cache_clear()
+    yield
+    _lapack._routines.cache_clear()

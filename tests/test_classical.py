@@ -229,3 +229,14 @@ def test_contour_below_well_bottom_is_empty():
     grid = make_grid(0.0, 4.0, 5)
     pts = contour_points(params, -depth(params) - 0.1, grid)
     assert pts.shape == (0, 2)
+
+
+def test_contour_momenta_past_the_largest_double_stay_finite():
+    # at m = 1e308, 2 m (e - V) overflows, but p = sqrt(2 m (e - V)) does not
+    params = ModelParams(4.0, 1.0, mass=1e308)
+    grid = make_grid(-2.0, 2.0, 5)  # x = 0, where e - V = 0, is a grid point
+    pts = contour_points(params, 0.0, grid)
+    kinetic = -potential(params, grid.points)
+    np.testing.assert_array_equal(pts[0::2, 0], grid.points)
+    np.testing.assert_allclose(pts[0::2, 1], np.sqrt(2.0 * kinetic) * 1e154, rtol=1e-15)
+    assert pts[4, 1] == 0.0

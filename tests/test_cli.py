@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
 import errno
+import io
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snwell.cli
 import snwell.sweep
@@ -169,6 +174,8 @@ def test_config_file_alpha_range(tmp_path):
         "alpha = 1\nalpha = x\n",
         "alpha = 1\n\nalpha = 2\nalpha = 3 4\n",
         "mu = 4\nthreads = two\n",
+        "mu = 4\nalpha_range = 1 5 0.5\n",
+        "alpha_range = 1 2 nan\n",
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
@@ -219,6 +226,8 @@ BAD_LINES = {
     "alpha = 1\n\nalpha = 2\nalpha = 3 4\n": 4,
     "mu = 4\nthreads = two\n": 2,
     "alpha = 1\nalpha_range = 1 2 3\n": 2,
+    "mu = 4\nalpha_range = 1 5 0.5\n": 2,
+    "alpha_range = 1 2 nan\n": 1,
 }
 
 
@@ -405,6 +414,14 @@ def test_uncreatable_output_directory_exits_2(tmp_path, capsys):
         assert "configuration error" in err and "Traceback" not in err
 
 
+def test_missing_lapack_exits_2_with_one_message(no_lapack, tmp_path, capsys):
+    argv = ["--alpha", "1", "--alpha", "2", "--n-points", "41", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("dstebz") == 1 and "snwell[lapack]" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_successful_run_exits_0(tmp_path, capsys):
     code = main(
         ["--alpha", "2", "--n-points", "149", "--n-states", "2",
@@ -503,3 +520,63 @@ def test_readme_library_example_runs():
     library = readme[readme.index("## Library"):]
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+# values for the config-file property test: valid, malformed, non-finite,
+# overflowing and extreme; nothing asks for more than 2 threads, 3 alphas or
+# a grid of more than a few tens of points
+NUMBERS = st.sampled_from(["1", "2", "4", "0.5", "-1", "0", "-0.0", "3e-149",  # valid or near
+                           "x", "", "1 2", "1,5", "--mu", "0x10",  # malformed
+                           "nan", "inf", "-inf",  # non-finite
+                           "1e309", "-1e309", "1e308", "-1e308",  # overflowing
+                           "1e-300", "5e-324", "1e300", "1e103", "-1e102"])  # extreme
+COUNTS = st.sampled_from(["1", "2", "3", "0", "0.5", "-1", "nan", "inf", "1e309", "two"])
+PAIRS = st.one_of(st.lists(NUMBERS, min_size=2, max_size=2).map(" ".join),
+                  st.sampled_from(["-1 9", "0 5", "-6 6", "9 -1", "1 1", "1", "1 2 3"]))
+CONFIG_VALUES = {
+    "mu": NUMBERS,
+    "alpha": st.lists(NUMBERS, min_size=1, max_size=3),
+    "alpha_range": st.tuples(NUMBERS, NUMBERS, COUNTS).map(" ".join),
+    "domain": PAIRS,
+    "pdomain": PAIRS,
+    "n_points": st.sampled_from(["3", "5", "9", "21", "41", "0", "2", "-3", "1.5", "x", ""]),
+    "n_states": st.sampled_from(["1", "2", "5", "0", "-1", "40", "1000", "x"]),
+    "hbar": NUMBERS,
+    "mass": NUMBERS,
+    "outputs": st.one_of(
+        st.sets(st.sampled_from(snwell.sweep.OUTPUT_KINDS), min_size=1).map(" ".join),
+        st.sampled_from(["", ",", "bogus", "spectrum,bogus"])),
+    "fail_fast": st.sampled_from(["true", "no", "ON", "maybe", ""]),
+    "threads": st.sampled_from(["1", "2", "0", "-1", "1.5", "x"]),
+}
+
+
+@st.composite
+def config_files(draw):
+    """The lines of a config file of 0 to 6 of the keys, alpha one line per value."""
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True, max_size=6))
+    lines = []
+    for key in keys:
+        value = draw(CONFIG_VALUES[key])
+        lines += [f"{key} = {v}" for v in (value if isinstance(value, list) else [value])]
+    return keys, lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_files())
+def test_any_config_file_exits_0_or_2_without_a_traceback(config):
+    keys, lines = config
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "sweep.cfg"
+        cfg_file.write_text("\n".join(lines) + "\n")
+        argv = ["--config", str(cfg_file), "--out", str(Path(tmp) / "out")]
+        if "n_points" not in keys:
+            argv += ["--n-points", "9"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main(argv)
+        assert "Traceback" not in err.getvalue()
+        if status == 0:
+            assert (Path(tmp) / "out" / "records.csv").exists()
+        else:
+            assert status == 2 and "configuration error" in err.getvalue(), err.getvalue()

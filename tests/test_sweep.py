@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import signal
@@ -202,6 +203,22 @@ def test_interrupted_sweep_starts_no_further_point(tmp_path, monkeypatch, thread
     time.sleep(0.3)  # a point still queued would start in this time
     assert waiting.is_set() and len(started) <= threads
     assert not (tmp_path / "records.csv").exists()
+
+
+def test_missing_lapack_is_one_configuration_error(no_lapack, tmp_path):
+    cfg = SweepConfig(alpha_values=(1.0, 2.0), n_points=41, output_dir=tmp_path / "out")
+    with pytest.raises(ConfigurationError, match=r"dstebz/dstein .*'snwell\[lapack\]'"):
+        run_sweep(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_logs_its_lapack_source_once(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="snwell.sweep")
+    run_sweep(SweepConfig(alpha_values=(1.0, 2.0, 5.0), n_points=41, n_states=2,
+                          outputs=frozenset({"observables"}), output_dir=tmp_path, threads=2))
+    [line] = [r.getMessage() for r in caplog.records if "eigensolver" in r.getMessage()]
+    assert line == f"eigensolver: dstebz/dstein from {snwell._lapack.lapack_source()}"
+    assert snwell._lapack.lapack_source() in ("numpy's LAPACK", "scipy.linalg.lapack")
 
 
 def test_a_sweep_leaves_no_block_buffers_on_the_callers_thread(tmp_path):
