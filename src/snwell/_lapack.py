@@ -25,7 +25,7 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = ["lapack_source", "lowest_eigenvectors"]
 
@@ -89,12 +89,13 @@ def _ctypes_routines():
 
 
 def _scipy_routines():
-    """(stebz, stein) through scipy's wrappers, whose dstein keeps IFAIL to itself."""
+    """(stebz, stein) through scipy's wrappers, whose dstein keeps IFAIL to itself;
+    a ConfigurationError naming the `lapack` extra where scipy is missing."""
     try:
         from scipy.linalg.lapack import dstebz, dstein
     except ImportError as exc:
-        raise ImportError("this numpy exports no LAPACK dstebz/dstein and scipy is missing; "
-                          "install scipy, e.g. pip install 'snwell[lapack]'") from exc
+        raise ConfigurationError("this numpy exports no LAPACK dstebz/dstein and scipy is missing"
+                                 "; install scipy, e.g. pip install 'snwell[lapack]'") from exc
 
     def stebz(d, e, count, tol):
         m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, count, tol, "B")  # 2: 'I'
@@ -121,8 +122,8 @@ def _routines():
 
 def lapack_source() -> str:
     """Where lowest_eigenvectors takes dstebz and dstein from, found once per
-    process: "numpy's LAPACK" or "scipy.linalg.lapack".  Raises ImportError,
-    naming the `lapack` extra, where neither source has them."""
+    process: "numpy's LAPACK" or "scipy.linalg.lapack".  Raises a
+    ConfigurationError, naming the `lapack` extra, where neither has them."""
     return _routines()[0].source
 
 

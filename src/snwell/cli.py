@@ -182,16 +182,13 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
 def config_from_args(args: argparse.Namespace) -> SweepConfig:
     """Merge CLI flags over config-file entries over the defaults."""
     values = vars(_parse_config_entries(args.config)) if args.config else {}
-    if args.alpha_values is not None or args.alpha_range is not None:
-        values.update(alpha_values=None, alpha_range=None)  # the flags replace both keys
     values.update((k, v) for k, v in vars(args).items() if v is not None)
-    alpha_range = values.pop("alpha_range", None)
-    if alpha_range is not None:
-        if values.get("alpha_values") is not None:
+    if args.alpha_range is not None:  # a file's alpha_range is its alpha values already
+        if args.alpha_values is not None:
             raise ConfigurationError("alpha and alpha_range are mutually exclusive")
-        values["alpha_values"] = _alpha_list(*alpha_range)
-    return SweepConfig(**{k: tuple(v) if isinstance(v, list) else v
-                          for k, v in values.items() if v is not None and k != "config"})
+        values["alpha_values"] = _alpha_list(*args.alpha_range)
+    return SweepConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()
+                          if v is not None and k not in ("config", "alpha_range")})
 
 
 def main(argv=None) -> int:

@@ -37,17 +37,19 @@ def uniform_points(a: float, b: float, n: int) -> np.ndarray:
     point set (points[n-1-j] == -points[j] bitwise, with an exact 0 in the
     middle for odd n).  The two forms agree to rounding.  A window so
     narrow that rounding leaves two neighbours equal or out of order is a
-    ConfigurationError: every consumer relies on strictly ascending points,
-    as is an n too large to allocate.
+    ConfigurationError (every consumer relies on strictly ascending points),
+    as are an overflowing a (n-1-j) + b j and an n too large to allocate.
     """
     try:
         j = np.arange(n, dtype=float)
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"{n} grid points are too many to allocate: {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):  # the ascending check catches both
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check catches both
         pts = (a * (n - 1 - j) + b * j) / (n - 1)
     pts[0] = a
     pts[-1] = b
+    if not np.isfinite(pts).all():
+        raise ConfigurationError(f"{n} points on [{a!r}, {b!r}]: a (n-1-j) + b j overflows")
     if not np.all(pts[1:] > pts[:-1]):
         raise ConfigurationError(
             f"{n} points on [{a!r}, {b!r}] are not strictly ascending in floating point"

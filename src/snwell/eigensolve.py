@@ -76,12 +76,12 @@ class Spectrum:
 def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
     """Lowest k eigenpairs of the discrete Hamiltonian.
 
-    Raises ConfigurationError when k is out of 1..N-2 and NumericalError
-    (carrying the offending state index where known, the lowest where
-    several fail) when convergence, the cluster check or the residual bound
-    fails.  Every step takes all k rows in one array operation, each row's
-    numbers computed as for the row alone; the states' values are the rows
-    of one k x N array.
+    Raises ConfigurationError when k is out of 1..N-2 or neither LAPACK
+    source is there, and NumericalError (carrying the offending state index
+    where known, the lowest where several fail) when convergence, the
+    cluster check or the residual bound fails.  Every step takes all k rows
+    in one array operation, each row's numbers computed as for the row
+    alone; the states' values are the rows of one k x N array.
     """
     m = h.diagonal.size
     if not 1 <= k <= m:

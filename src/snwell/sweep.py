@@ -223,14 +223,13 @@ class PointFailure:
 
 
 class SweepPointError(RuntimeError):
-    """One or more sweep points failed; the other points' files were still
-    written, unless fail_fast stopped the sweep at the first failure."""
+    """Sweep points failed, each one in .failures; the other points' files were
+    still written, unless fail_fast stopped the sweep at the first failure."""
 
-    def __init__(self, failures: list[PointFailure], records: list[SweepRecord]):
+    def __init__(self, failures: list[PointFailure]):
         lines = ", ".join(f"(alpha={f.alpha}, n={f.state_index}): {f.message}" for f in failures)
         super().__init__(f"{len(failures)} sweep point(s) failed: {lines}")
         self.failures = failures
-        self.records = records
 
 
 def _fmt(x) -> str:
@@ -453,17 +452,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     Every point runs on a pool of min(cfg.threads, points) workers.  Point
     failures (a failed write included) are logged with their (alpha, n) and
-    do not stop the other points unless cfg.fail_fast; if any occurred, a
-    SweepPointError carrying them in the order the alphas were given (and the
-    successful records) is raised after the remaining points were computed
-    and written.  A fail_fast failure, a point's BaseException or Ctrl-C
-    sets the abort event, the sweep's one stop state: no point starts after
-    it, records.csv is not written, and a fail_fast error carries no records.
+    do not stop the other points unless cfg.fail_fast; a SweepPointError
+    carrying only them, in the order the alphas were given, is raised after
+    the remaining points were computed and written.  A fail_fast failure, a
+    point's BaseException or Ctrl-C sets the abort event, the sweep's one stop
+    state: no point starts after it and records.csv is not written.  Neither
+    LAPACK source: a ConfigurationError before the output directory exists.
     """
-    try:
-        logger.info("eigensolver: dstebz/dstein from %s", _lapack.lapack_source())
-    except ImportError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    logger.info("eigensolver: dstebz/dstein from %s", _lapack.lapack_source())
     grid = make_grid(cfg.domain[0], cfg.domain[1], cfg.n_points)
     pgrid = make_momentum_grid(cfg.momentum_domain[0], cfg.momentum_domain[1], cfg.n_points)
     outdir = Path(cfg.output_dir)
@@ -474,10 +470,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
     abort = threading.Event()  # once set, no further point starts
 
-    def capture(alpha: float) -> list[SweepRecord] | PointFailure | None:
-        """The point's records, its failure, or None if it never started."""
+    def capture(alpha: float) -> list[SweepRecord] | PointFailure:
+        """The point's records (none if it never started), or its failure."""
         if abort.is_set():
-            return None
+            return []
         try:
             return _sweep_point(cfg, grid, pgrid, alpha, outdir)
         except Exception as exc:
@@ -504,10 +500,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     # in the order the alphas were given; result() re-raises a BaseException from a point
     outcomes = [fut.result() for fut in futures]
     failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    if abort.is_set():
-        raise SweepPointError(failures, [])
     records = [r for o in outcomes if isinstance(o, list) for r in o]
-    _write_records(outdir / "records.csv", cfg, records)
+    if not abort.is_set():  # here only a fail_fast failure can have set it
+        _write_records(outdir / "records.csv", cfg, records)
     if failures:
-        raise SweepPointError(failures, records)
+        raise SweepPointError(failures)
     return records

@@ -479,7 +479,7 @@ def test_kinetic_scale_just_inside_the_solver_range_runs(tmp_path):
 
 def test_point_failure_exits_1(tmp_path, monkeypatch):
     def exploding(cfg):
-        raise SweepPointError([PointFailure(2.0, None, "synthetic")], [])
+        raise SweepPointError([PointFailure(2.0, None, "synthetic")])
 
     monkeypatch.setattr(snwell.cli, "run_sweep", exploding)
     assert main(["--out", str(tmp_path)]) == 1

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snwell import ConfigurationError, ModelParams, assemble, make_grid, potential, solve
+from snwell.discretize import uniform_points
 
 from conftest import fd_hamiltonian
 
@@ -46,6 +47,13 @@ def test_grid_points_equispaced(a, width, n):
     assert g.points[0] == a
     assert g.points[-1] == a + width
     np.testing.assert_allclose(np.diff(g.points), g.dx, rtol=1e-9)
+
+
+def test_an_overflowing_weighted_average_is_named():
+    # b j overflows at j >= 2, though each point (1, 1.25e307, ..., 1e308) is a double
+    with pytest.raises(ConfigurationError, match=r"a \(n-1-j\) \+ b j overflows"):
+        uniform_points(1.0, 1e308, 9)
+    assert uniform_points(1.0, 1e307, 9).tolist() == [1.0] + [k * 1.25e306 for k in range(1, 9)]
 
 
 def test_symmetric_window_mirrors_bitwise():

@@ -6,6 +6,7 @@ import pytest
 from snwell import (
     EigenState,
     ModelParams,
+    NumericalError,
     assemble,
     make_grid,
     position_records,
@@ -139,3 +140,14 @@ def test_position_records_reject_an_unnormalized_state(deep_spectrum, saddle_gri
     bad = EigenState(index=1, energy=0.0, values=2.0 * good.values)
     with pytest.raises(ValueError, match="not normalized"):
         position_records([good, bad], saddle_grid)
+
+
+def test_variance_below_the_floor_raises_with_the_state_index():
+    # all of psi^2 at x = 4, normalized to 1 + 5e-7 (inside NORMALIZATION_ATOL):
+    # <x^2> - <x>^2 = 16 (1 + 5e-7) - 16 (1 + 5e-7)^2 = -8e-6
+    grid = make_grid(-1.0, 9.0, 101)
+    values = np.where(grid.points == 4.0, math.sqrt((1.0 + 5e-7) / grid.dx), 0.0)
+    assert np.count_nonzero(values) == 1
+    with pytest.raises(NumericalError, match="negative beyond rounding") as excinfo:
+        position_records([EigenState(index=3, energy=0.0, values=values)], grid)
+    assert excinfo.value.state_index == 3

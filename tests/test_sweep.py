@@ -142,6 +142,14 @@ def test_sweep_uses_a_pool_of_usable_cpus_by_default(tmp_path, monkeypatch):
     assert pools == [3, 1]
 
 
+@pytest.mark.parametrize("cpu_count,threads", [(3, 3), (None, 1)])
+def test_threads_default_to_the_cpu_count_without_an_affinity_mask(monkeypatch, cpu_count,
+                                                                   threads):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert SweepConfig().threads == threads
+
+
 def test_wigner_sweeps_default_to_one_worker(tmp_path, monkeypatch):
     pools = []
     real_pool = snwell.sweep.ThreadPoolExecutor
@@ -655,8 +663,8 @@ def test_point_failure_reported_and_others_survive(tmp_path, monkeypatch):
         run_sweep(cfg)
     (failure,) = excinfo.value.failures
     assert failure.alpha == 2.0 and failure.state_index == 1
-    assert len(excinfo.value.records) == 2 * cfg.n_states
     _, _, rows = read_table(tmp_path / "records.csv")
+    assert len(rows) == 2 * cfg.n_states
     assert sorted({row[0] for row in rows}) == ["1.0", "5.0"]
 
 
@@ -685,7 +693,8 @@ def test_threaded_failures_reported_in_alpha_order(tmp_path, monkeypatch, alphas
         run_sweep(cfg)
     # the order the alphas were given: neither sorted nor the order they failed in
     assert [f.alpha for f in excinfo.value.failures] == [first, last]
-    assert [r.alpha for r in excinfo.value.records] == [2.0] * cfg.n_states
+    _, _, rows = read_table(tmp_path / "records.csv")
+    assert [row[0] for row in rows] == ["2.0"] * cfg.n_states
 
 
 def test_fail_fast_aborts_immediately(tmp_path, monkeypatch):
@@ -743,7 +752,7 @@ def test_fail_fast_starts_no_point_after_the_failure(tmp_path, monkeypatch, thre
     with pytest.raises(SweepPointError) as excinfo:
         run_sweep(cfg)
     assert calls[0] == 1.0 and len(calls) <= threads
-    assert [f.alpha for f in excinfo.value.failures] == [1.0] and excinfo.value.records == []
+    assert [f.alpha for f in excinfo.value.failures] == [1.0]
     assert not (tmp_path / "records.csv").exists()
 
 
@@ -771,7 +780,6 @@ def test_fail_fast_lists_the_failures_in_flight_in_the_given_order(tmp_path, mon
     with pytest.raises(SweepPointError) as excinfo:
         run_sweep(cfg)
     assert [f.alpha for f in excinfo.value.failures] == [5.0, 1.0]
-    assert excinfo.value.records == []
     assert sorted(calls) == [1.0, 5.0]
     assert not (tmp_path / "records.csv").exists()
 
