@@ -171,7 +171,6 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
             namespace, extra = parser.parse_known_args(tokens, namespace)
             if key == "alpha_range":
                 namespace.alpha_values = _alpha_list(*namespace.alpha_range)
-                namespace.alpha_range = None
         except (argparse.ArgumentError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
         if extra:

@@ -35,11 +35,13 @@ def uniform_points(a: float, b: float, n: int) -> np.ndarray:
     Built as the weighted average (a (n-1-j) + b j)/(n-1) rather than
     a + j dx so that a symmetric window b = -a yields an exactly mirrored
     point set (points[n-1-j] == -points[j] bitwise, with an exact 0 in the
-    middle for odd n).  The two forms agree to rounding.  A window so
-    narrow that rounding leaves two neighbours equal or out of order is a
-    ConfigurationError (every consumer relies on strictly ascending points),
-    as are an overflowing a (n-1-j) + b j and an n too large to allocate.
+    middle for odd n).  The two forms agree to rounding.  A ConfigurationError
+    names, checked in this order, ends not finite with a < b (both grids' one
+    window check), an n too large to allocate, an overflowing a (n-1-j) + b j,
+    and neighbours rounded equal or out of order (points must ascend strictly).
     """
+    if not (b > a and math.isfinite(b - a)):  # b - a is finite only for finite ends
+        raise ConfigurationError(f"window [{a!r}, {b!r}] needs finite ends a < b")
     try:
         j = np.arange(n, dtype=float)
     except (ValueError, MemoryError) as exc:
@@ -94,9 +96,7 @@ class DiscreteHamiltonian:
 
 
 def make_grid(a: float, b: float, n: int) -> SpatialGrid:
-    """Uniform grid on [a, b] with n total points (endpoints included)."""
-    if not (b > a and math.isfinite(b - a)):  # b - a is finite only for finite ends
-        raise ConfigurationError(f"grid needs finite a < b, got [{a!r}, {b!r}]")
+    """Uniform grid of n >= 5 points, ends included; uniform_points checks [a, b]."""
     if n < 5:
         raise ConfigurationError(f"grid needs at least 5 points, got {n}")
     dx = (b - a) / (n - 1)

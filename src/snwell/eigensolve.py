@@ -99,7 +99,7 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
             state_index=i,
         )
 
-    scale = float(np.max(np.abs(h.diagonal))) + 2.0 * float(np.max(np.abs(h.off_diagonal)))
+    scale = np.max(np.abs(h.diagonal)) + 2.0 * np.max(np.abs(h.off_diagonal), initial=0.0)
     norms = np.sqrt(squares * h.grid.dx)
     residuals = np.max(np.abs(products - w[:, None] * rows), axis=1) / norms
     failed = np.flatnonzero(~(residuals <= RESIDUAL_RTOL * scale))  # a NaN fails too

@@ -113,7 +113,8 @@ class SweepConfig:
     usable CPUs, or to 1 when the sweep writes Wigner files: their text
     formatting holds the interpreter lock, so a second worker is slower and
     holds a second field (three_depths, N = 599, 2 vCPUs: 2.5-3.4 s and
-    41 MB peak RSS with one worker, 2.9-4.3 s and 48 MB with two)."""
+    41 MB peak RSS with one worker, 2.9-4.3 s and 48 MB with two).  The
+    default is fixed at construction; replace() keeps it, so pass threads."""
 
     mu: float = 4.0
     alpha_values: tuple[float, ...] = (1.0, 2.0, 5.0)
@@ -244,7 +245,7 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
     is dropped before the next one, so a point holds one field at a time.
     The spectrum and contour files follow.  All of the point's files or
     none: a failure, in a computation or in a write, removes every file the
-    point has written.
+    point has written and no other; a path is listed once its writer returns.
     """
     params = ModelParams(mu=cfg.mu, alpha=alpha, hbar=cfg.hbar, mass=cfg.mass)
     spectrum = solve(assemble(params, grid), cfg.n_states)
@@ -267,8 +268,9 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
                 w = wigner_transform(state, grid, pgrid, params)
                 if want_prob:
                     prob = nonreactive_probability(w, params)
-                written.append(outdir / f"wigner_{tag}_n{state.index}.dat")
-                emit_wigner_grid(w, written[-1])
+                path = outdir / f"wigner_{tag}_n{state.index}.dat"
+                emit_wigner_grid(w, path)
+                written.append(path)
                 del w
             records.append(SweepRecord(
                 alpha=alpha, depth=well_depth, state_index=state.index, energy=state.energy,
@@ -276,12 +278,14 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
                 boundary_amplitude=state.boundary_amplitude,
             ))
         if "spectrum" in cfg.outputs:
-            written.append(outdir / f"spectrum_{tag}.csv")
-            _write_spectrum(written[-1], spectrum)
+            path = outdir / f"spectrum_{tag}.csv"
+            _write_spectrum(path, spectrum)
+            written.append(path)
         if "contours" in cfg.outputs:
-            written.append(outdir / f"contours_{tag}.csv")
-            _write_contours(written[-1], spectrum,
+            path = outdir / f"contours_{tag}.csv"
+            _write_contours(path, spectrum,
                             [contour_points(params, s.energy, grid) for s in states])
+            written.append(path)
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

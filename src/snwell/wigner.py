@@ -112,9 +112,7 @@ class MomentumGrid:
 
 
 def make_momentum_grid(c: float, d: float, n: int) -> MomentumGrid:
-    """Uniform momentum grid on [c, d] with n points (endpoints included)."""
-    if not (d > c and math.isfinite(d - c)):  # d - c is finite only for finite ends
-        raise ConfigurationError(f"momentum grid needs finite c < d, got [{c!r}, {d!r}]")
+    """Uniform momentum grid of n >= 2 points, ends included; uniform_points checks [c, d]."""
     if n < 2:
         raise ConfigurationError(f"momentum grid needs at least 2 points, got {n}")
     dp = (d - c) / (n - 1)
@@ -243,18 +241,15 @@ def _correlation_matrix(psi: np.ndarray) -> np.ndarray:
 
     The l = 0 term enters once and each |l| >= 1 pair twice (cosine is even).
     Both factors are read from sliding windows over psi padded with L zeros
-    on each side; products whose offset leaves the window are skipped, so
-    those entries stay +0.0 (a product with a pad zero could be -0.0).
+    on each side; a product past the window's edge is +-0.0, and each field
+    entry also sums its l = 0 term psi_j^2 >= +0.0, so no such sign shows.
     """
     n = psi.size
     lmax = (n - 1) // 2
     padded = np.zeros(n + 2 * lmax)
     padded[lmax : lmax + n] = psi
     windows = sliding_window_view(padded, lmax + 1)  # windows[i, m] = padded[i + m]
-    rows = np.arange(n)
-    inside = np.arange(lmax + 1) <= np.minimum(rows, n - 1 - rows)[:, None]
-    corr = np.zeros((n, lmax + 1))
-    np.multiply(windows[:n, ::-1], windows[lmax:], out=corr, where=inside)
+    corr = windows[:n, ::-1] * windows[lmax:]  # C-contiguous
     corr[:, 1:] *= 2.0
     return corr
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from snwell import ConfigurationError, ModelParams, assemble, make_grid, potential, solve
+from snwell import (ConfigurationError, ModelParams, assemble, make_grid, make_momentum_grid,
+                    potential, solve)
 from snwell.discretize import uniform_points
 
 from conftest import fd_hamiltonian
@@ -34,6 +35,27 @@ def test_nice_fraction_points_exact():
 def test_bad_grids_rejected(a, b, n):
     with pytest.raises(ConfigurationError):
         make_grid(a, b, n)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(2.0, 1.0), (1.0, 1.0), (-1.0, math.inf), (-math.inf, 9.0), (-1.0, math.nan),
+     (-1e308, 1e308)],
+    ids=["reversed", "equal", "inf", "minus_inf", "nan", "width_overflows"],
+)
+def test_one_window_rule_for_both_grids(a, b):
+    messages = []
+    for make in (make_grid, make_momentum_grid):
+        with pytest.raises(ConfigurationError) as excinfo:
+            make(a, b, 9)
+        messages.append(str(excinfo.value))
+    assert messages == [f"window [{a!r}, {b!r}] needs finite ends a < b"] * 2
+
+
+@pytest.mark.parametrize("make", [make_grid, make_momentum_grid])
+def test_a_bad_window_is_named_before_anything_is_allocated(make):
+    with pytest.raises(ConfigurationError, match=r"^window \[2\.0, 1\.0\]"):
+        make(2.0, 1.0, 10**15)
 
 
 @given(

@@ -8,8 +8,10 @@ import pytest
 import snwell._lapack
 from snwell import (
     ConfigurationError,
+    DiscreteHamiltonian,
     ModelParams,
     NumericalError,
+    SpatialGrid,
     assemble,
     make_grid,
     solve,
@@ -131,6 +133,17 @@ def test_solve_rejects_bad_k(saddle_grid, deep_params):
         solve(h, 0)
     with pytest.raises(ConfigurationError):
         solve(h, saddle_grid.n_points - 1)
+
+
+def test_one_interior_point_has_no_off_diagonal_and_still_solves():
+    # a hand-built 3-point grid: the matrix is [2.0] and off_diagonal is empty
+    grid = SpatialGrid(a=0.0, b=1.0, n_points=3, dx=0.5, points=np.array([0.0, 0.5, 1.0]))
+    h = DiscreteHamiltonian(diagonal=np.array([2.0]), off_diagonal=np.array([]), grid=grid,
+                            params=ModelParams(mu=1.0, alpha=1.0))
+    (state,) = solve(h, 1).states
+    assert state.energy == 2.0 and state.residual == 0.0
+    assert state.values.tolist() == pytest.approx([0.0, math.sqrt(2.0), 0.0], rel=1e-15)
+    assert state.boundary_amplitude == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_residual_within_contract(deep_spectrum, saddle_grid, deep_params):

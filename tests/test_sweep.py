@@ -572,6 +572,24 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert sorted({row[0] for row in rows}) == ["1.0", "5.0"]
 
 
+def test_failed_rerun_removes_only_the_files_it_wrote(tmp_path, monkeypatch):
+    cfg = SweepConfig(alpha_values=(1.0, 2.0), outputs=frozenset({"wigner", "spectrum"}),
+                      output_dir=tmp_path, threads=1, n_points=41, n_states=2)
+    run_sweep(cfg)
+    first = {name: (tmp_path / name).read_bytes()
+             for name in ("wigner_2.0_n1.dat", "spectrum_2.0.csv")}
+
+    # the rerun into the same directory writes state 0's file, then fails on state 1's
+    _disk_full_halfway(monkeypatch, "wigner_2.0_n1")
+    with pytest.raises(SweepPointError):
+        run_sweep(cfg)
+    assert not (tmp_path / "wigner_2.0_n0.dat").exists()
+    # the failed write kept the first run's file, and the point never wrote the spectrum
+    assert {name: (tmp_path / name).read_bytes() for name in first} == first
+    _, _, rows = read_table(tmp_path / "records.csv")
+    assert {row[0] for row in rows} == {"1.0"}
+
+
 def test_failed_computation_removes_the_files_the_point_wrote(tmp_path, monkeypatch):
     cfg = SweepConfig(
         alpha_values=(1.0, 2.0, 5.0),

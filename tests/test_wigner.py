@@ -90,10 +90,11 @@ def test_correlation_matrix_matches_loop_bitwise(deep_spectrum):
                                                                   for n in (5, 6, 60, 61)]:
         n = psi.size
         lmax = (n - 1) // 2
+        padded = np.concatenate([np.zeros(lmax), psi, np.zeros(lmax)])  # psi(x) = 0 off the grid
         loop = np.zeros((n, lmax + 1))
-        for j in range(n):
-            for l in range(min(j, n - 1 - j, lmax) + 1):
-                loop[j, l] = (1.0 if l == 0 else 2.0) * (psi[j - l] * psi[j + l])
+        for j in range(lmax, lmax + n):
+            for l in range(lmax + 1):
+                loop[j - lmax, l] = (1.0 if l == 0 else 2.0) * (padded[j - l] * padded[j + l])
         assert _correlation_matrix(psi).tobytes() == loop.tobytes()
 
 
