@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 
-__all__ = ["lapack_source", "lowest_eigenvectors"]
+__all__ = ["lapack_source", "lowest_eigenvectors", "matrix_scale"]
 
 SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_")
 TOL_FACTOR = 2.0**-28  # ABSTOL per unit of max|d| + 2 max|e|; a power of 2 keeps scalings exact
@@ -140,6 +140,11 @@ def _separated(w: np.ndarray | None, k: int, abstol: float) -> bool:
     return False
 
 
+def matrix_scale(d: np.ndarray, e: np.ndarray) -> float:
+    """max|d| + 2 max|e| (0 with no e), the scale of ABSTOL and of solve's residual bound."""
+    return float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0))
+
+
 def lowest_eigenvectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """The k lowest eigenvectors of tridiag(e, d, e) as the rows of a
     C-contiguous (k, n) array, ascending: bitwise, from either source, the
@@ -156,8 +161,7 @@ def lowest_eigenvectors(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"need n diagonal, n - 1 off-diagonal entries: got {d.shape}, {e.shape}")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise NumericalError("tridiagonal matrix has a non-finite entry")
-    # the scale solve checks residuals against, times a power of 2
-    abstol = TOL_FACTOR * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e), initial=0.0)))
+    abstol = TOL_FACTOR * matrix_scale(d, e)  # a power of 2 times solve's scale
     stebz, stein = _routines()
     # with k + 1 > n, dstebz would print its illegal-argument message
     w, iblock, isplit, info = stebz(d, e, k + 1, abstol) if k < n else (None,) * 4

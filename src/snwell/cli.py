@@ -4,8 +4,8 @@ Configuration comes from an optional flat `key = value` file plus flags, over
 the built-in defaults (mu = 4, alpha in {1, 2, 5}, window [-1, 9] x [-6, 6],
 N = 599, 5 states).  Each file key is a flag's name, written with `-` or `_`,
 and the flag's own parser reads its value; `alpha` may repeat, one value per
-line, and `fail_fast` takes `true`, `yes`, `1` or `on`, or `false`, `no`,
-`0` or `off`, in any case:
+line, and `fail_fast` and `--fail-fast` take `true`, `yes`, `1` or `on`, or
+`false`, `no`, `0` or `off`, in any case (a bare `--fail-fast` is true):
 
     mu = 4
     alpha = 1
@@ -14,14 +14,15 @@ line, and `fail_fast` takes `true`, `yes`, `1` or `on`, or `false`, `no`,
     outputs = spectrum observables probability contours
     out = results
 
-A flag replaces the file's value of its key.  A file sets `alpha` or
-`alpha_range`, not both, and `--alpha` or `--alpha-range` replaces either.
+A flag replaces the file's value of its key (`--fail-fast=no` a file's
+`fail_fast = true`).  A file sets `alpha` or `alpha_range`, not both, and
+`--alpha` or `--alpha-range` replaces either; it may start with a BOM.
 
 Exit status: 0 on full success, 1 if any sweep point failed or records.csv
 could not be written, 2 on a configuration problem in the file or the flags
-(a problem on a file line is named as FILE:LINE, with the flag parser's
-message for a value it rejects; argparse prints its usage and message for a
-flag).
+(every problem on a file line is named as FILE:LINE, with the flag parser's
+message for a value it rejects, an option-like value included; argparse
+prints its usage and message for a flag).
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: {' '.join(sorted(DEFAULT_OUTPUTS))})")
     parser.add_argument("--out", dest="output_dir", type=_directory, metavar="DIR",
                         help="output directory")
-    parser.add_argument("--fail-fast", action="store_true", default=None,
-                        help="abort on the first failing sweep point")
+    parser.add_argument("--fail-fast", nargs="?", const=True, type=_boolean, metavar="BOOL",
+                        help="abort on the first failing sweep point (bare: true)")
     parser.add_argument("--threads", type=int, metavar="T",
                         help="sweep points run on a pool of min(T, points) threads "
                         "(default: the CPUs this process may use, or 1 with wigner "
@@ -118,23 +119,25 @@ def _directory(text: str) -> Path:
     return Path(text)
 
 
-def _fail_fast_token(text: str, where: str) -> list[str]:
+def _boolean(text: str) -> bool:
     lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return ["--fail-fast"]
-    if lowered in ("false", "no", "0", "off"):
-        return []
-    raise ConfigurationError(f"{where}: 'fail_fast' must be a boolean, got {text!r}")
+    if lowered in ("true", "yes", "1", "on", "false", "no", "0", "off"):
+        return lowered in ("true", "yes", "1", "on")
+    raise argparse.ArgumentTypeError(f"expected true/yes/1/on or false/no/0/off, got {text!r}")
 
 
 def _parse_config_entries(path: Path) -> argparse.Namespace:
-    """Read a flat key = value file, each line as the flag of its key's name."""
+    """Read a flat key = value file, each line as the flag of its key's name;
+    the parser's `error` raises, so every rejected line names FILE:LINE."""
+    def error(message):
+        raise ConfigurationError(message)
+
     parser = build_parser()
-    parser.exit_on_error = False
+    parser.error = error
     actions = {a.option_strings[0][2:].replace("-", "_"): a
                for a in parser._actions if a.dest not in ("help", "config")}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     namespace, seen = parser.parse_args([]), set()
@@ -155,9 +158,7 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
             raise ConfigurationError(
                 f"{path}:{lineno}: alpha and alpha_range are mutually exclusive")
         nargs, flag = actions[key].nargs, actions[key].option_strings[0]
-        if nargs == 0:
-            tokens = _fail_fast_token(value, f"{path}:{lineno}")
-        elif nargs is None:
+        if not isinstance(nargs, int):
             tokens = [f"{flag}={value}"]  # one value, even if it starts with '-'
         elif len(value.split()) == nargs:
             tokens = [flag, *value.split()]
@@ -168,13 +169,11 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         # error names its line and the alpha lines append to one list; an
         # alpha_range line becomes its alpha values, its count checked there
         try:
-            namespace, extra = parser.parse_known_args(tokens, namespace)
+            namespace = parser.parse_args(tokens, namespace)
             if key == "alpha_range":
                 namespace.alpha_values = _alpha_list(*namespace.alpha_range)
-        except (argparse.ArgumentError, ConfigurationError) as exc:
+        except ConfigurationError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-        if extra:
-            raise ConfigurationError(f"{path}:{lineno}: unexpected values {extra}")
     return namespace
 
 

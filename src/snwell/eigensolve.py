@@ -24,7 +24,8 @@ consumer relies on:
   NumericalError instead of being returned,
 * every returned pair satisfies the residual bound max|H z - E z| /
   sqrt(sum(z^2) dx) <= 1e-8 * scale(H), which is max|H psi - E psi| up to
-  rounding, else NumericalError (a NaN fails it), and carries that residual.
+  rounding, else NumericalError (a NaN fails it), and carries that residual;
+  scale(H) = max|d| + 2 max|e| is _lapack.matrix_scale, ABSTOL's scale too.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
 
     Raises ConfigurationError when k is out of 1..N-2 or neither LAPACK
     source is there, and NumericalError (carrying the offending state index
-    where known, the lowest where several fail) when convergence, the
-    cluster check or the residual bound fails.  Every step takes all k rows
-    in one array operation, each row's numbers computed as for the row
-    alone; the states' values are the rows of one k x N array.
+    where known, the lowest where several fail) when convergence, the cluster
+    check or the residual bound, RESIDUAL_RTOL * _lapack.matrix_scale, fails.
+    Every step takes all k rows in one array operation, each row's numbers
+    computed as for the row alone; the states' values are one k x N array.
     """
     m = h.diagonal.size
     if not 1 <= k <= m:
@@ -99,7 +100,7 @@ def solve(h: DiscreteHamiltonian, k: int) -> Spectrum:
             state_index=i,
         )
 
-    scale = np.max(np.abs(h.diagonal)) + 2.0 * np.max(np.abs(h.off_diagonal), initial=0.0)
+    scale = _lapack.matrix_scale(h.diagonal, h.off_diagonal)
     norms = np.sqrt(squares * h.grid.dx)
     residuals = np.max(np.abs(products - w[:, None] * rows), axis=1) / norms
     failed = np.flatnonzero(~(residuals <= RESIDUAL_RTOL * scale))  # a NaN fails too

@@ -176,6 +176,8 @@ def test_config_file_alpha_range(tmp_path):
         "mu = 4\nthreads = two\n",
         "mu = 4\nalpha_range = 1 5 0.5\n",
         "alpha_range = 1 2 nan\n",
+        "domain = 1 --m\n",  # an ambiguous option prefix as a value
+        "mu = 4\nalpha_range = 1 2 --h\n",
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
@@ -228,6 +230,8 @@ BAD_LINES = {
     "alpha = 1\nalpha_range = 1 2 3\n": 2,
     "mu = 4\nalpha_range = 1 5 0.5\n": 2,
     "alpha_range = 1 2 nan\n": 1,
+    "domain = 1 --m\n": 1,
+    "mu = 4\nalpha_range = 1 2 --h\n": 2,
 }
 
 
@@ -265,6 +269,8 @@ PARITY_CASES = [
     pytest.param("fail_fast", "yes", ["--fail-fast"], ["--fail-fast"],
                  id="fail_fast-yes-flags15-override15"),
     pytest.param("fail_fast", "off", [], ["--fail-fast"], id="fail_fast-off-flags16-override16"),
+    pytest.param("fail_fast", "ON", ["--fail-fast=ON"], ["--fail-fast=no"],
+                 id="fail_fast-ON-flags17-override17"),
 ]
 
 
@@ -275,6 +281,13 @@ def test_config_key_parses_as_its_flag(tmp_path, key, value, flags, override):
     config = ["--config", str(cfg_file)]
     assert parse(config) == parse(flags)
     assert parse(config + override) == parse(override)  # the flag replaces the file's value
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("mu = 3\nn_states = 2\n", encoding="utf-8-sig")
+    assert cfg_file.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse(["--config", str(cfg_file)]) == parse(["--mu", "3", "--n-states", "2"])
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -527,6 +540,7 @@ def test_readme_library_example_runs():
 # a grid of more than a few tens of points
 NUMBERS = st.sampled_from(["1", "2", "4", "0.5", "-1", "0", "-0.0", "3e-149",  # valid or near
                            "x", "", "1 2", "1,5", "--mu", "0x10",  # malformed
+                           "--m", "--h",  # ambiguous option prefixes
                            "nan", "inf", "-inf",  # non-finite
                            "1e309", "-1e309", "1e308", "-1e308",  # overflowing
                            "1e-300", "5e-324", "1e300", "1e103", "-1e102"])  # extreme
