@@ -5,6 +5,14 @@ observables, Wigner quasiprobability fields, and the phase-space probability
 of classically nonreactive behaviour, swept over the well-depth parameter.
 """
 
+import os
+
+# numpy's OpenBLAS starts its worker threads as numpy is imported, and an idle
+# worker busy-waits for 2^n cycles before it sleeps (n = 28 by default), taking
+# a CPU from the sweep's pool.  At 4, the least OpenBLAS accepts, it sleeps at
+# once and the next threaded BLAS call wakes it.  A value already set is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from . import classical, discretize, eigensolve, errors, observables, sweep, wigner
 from .classical import *
 from .discretize import *

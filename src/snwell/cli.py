@@ -16,7 +16,8 @@ line, and `fail_fast` and `--fail-fast` take `true`, `yes`, `1` or `on`, or
 
 A flag replaces the file's value of its key (`--fail-fast=no` a file's
 `fail_fast = true`).  A file sets `alpha` or `alpha_range`, not both, and
-`--alpha` or `--alpha-range` replaces either; it may start with a BOM.
+`--alpha` or `--alpha-range` replaces either; it may start with a BOM.  A
+`#` at the start of a line or after whitespace starts a comment.
 
 Exit status: 0 on full success, 1 if any sweep point failed or records.csv
 could not be written, 2 on a configuration problem in the file or the flags
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -142,7 +144,7 @@ def _parse_config_entries(path: Path) -> argparse.Namespace:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     namespace, seen = parser.parse_args([]), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -463,7 +463,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     state: no point starts after it and records.csv is not written.  Neither
     LAPACK source: a ConfigurationError before the output directory exists.
     """
-    logger.info("eigensolver: dstebz/dstein from %s", _lapack.lapack_source())
+    workers = min(cfg.threads, len(cfg.alpha_values))
+    logger.info("eigensolver: dstebz/dstein from %s; %d points on %d workers",
+                _lapack.lapack_source(), len(cfg.alpha_values), workers)
     grid = make_grid(cfg.domain[0], cfg.domain[1], cfg.n_points)
     pgrid = make_momentum_grid(cfg.momentum_domain[0], cfg.momentum_domain[1], cfg.n_points)
     outdir = Path(cfg.output_dir)
@@ -491,7 +493,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             raise
 
     # leaving the block waits for the points in flight to finish their files
-    with ThreadPoolExecutor(max_workers=min(cfg.threads, len(cfg.alpha_values))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             futures = [pool.submit(capture, alpha) for alpha in cfg.alpha_values]
             # wake now and then: Ctrl-C is raised only while the main thread runs

@@ -18,6 +18,11 @@ import snwell.cli
 import snwell.sweep
 from snwell.cli import build_parser, config_from_args, main
 from snwell.sweep import PointFailure, SweepPointError
+from test_golden import blas_build
+
+
+# the CPUs this process may use
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def parse(argv):
@@ -32,8 +37,7 @@ def test_defaults_mirror_standard_setup():
     assert cfg.momentum_domain == (-6.0, 6.0)
     assert cfg.n_points == 599 and cfg.n_states == 5
     assert cfg.hbar == 1.0 and cfg.mass == 1.0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert cfg.threads == cpus
+    assert cfg.threads == CPUS
 
 
 def test_every_flag_names_its_config_field():
@@ -46,12 +50,44 @@ def test_wigner_output_defaults_to_one_thread():
     assert parse(["--outputs", "wigner,probability", "--threads", "2"]).threads == 2
 
 
-def test_import_loads_no_scipy():
-    # scipy.linalg used to be most of the command's start-up time
+def _fresh_snwell(code, timeout_value=None):
+    """Run `code` after `import snwell` in a fresh process, OPENBLAS_THREAD_TIMEOUT
+    set to `timeout_value` or unset; return its standard output."""
     env = dict(os.environ, PYTHONPATH=str(Path(snwell.cli.__file__).parents[1]),
                PYTHONWARNINGS="error")
-    code = "import snwell.cli, sys; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout_value
+    done = subprocess.run([sys.executable, "-c", "import snwell\n" + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg used to be most of the command's start-up time
+    _fresh_snwell("import snwell.cli, sys; sys.exit('scipy' in sys.modules)")
+
+
+@pytest.mark.parametrize(("given", "kept"), [(None, "4"), ("20", "20")])
+def test_import_sets_openblas_thread_timeout_unless_given(given, kept):
+    code = "import os; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    assert _fresh_snwell(code, given) == f"{kept}\n"
+
+
+@pytest.mark.skipif("openblas" not in blas_build().lower() or CPUS < 2,
+                    reason="needs numpy's OpenBLAS and at least 2 CPUs")
+def test_idle_openblas_workers_sleep_after_import():
+    # at OpenBLAS's default timeout its idle workers spin 50-85 ms of CPU
+    # right after numpy's import (2 vCPUs)
+    code = ("import resource, time\n"
+            "def cpu():\n"
+            "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "    return usage.ru_utime + usage.ru_stime\n"
+            "start = cpu()\n"
+            "time.sleep(0.3)\n"
+            "print(cpu() - start)\n")
+    assert float(_fresh_snwell(code)) < 0.020
 
 
 def test_fresh_threaded_probability_sweep_completes(tmp_path):
@@ -125,14 +161,15 @@ def test_config_file_merging(tmp_path):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(
         "# comment line\n"
-        "mu = 3\n"
+        "mu = 3  # a '#' after whitespace starts a comment\n"
         "alpha = 1\n"
         "alpha = 2.5\n"
-        "n-points = 149\n"
+        "  # indented comment line\n"
+        "n-points = 149 #tight\n"
         "n_states = 2\n"
         "outputs = observables\n"
         "pdomain = -5 5\n"
-        f"out = {tmp_path / 'results'}\n"
+        f"out = {tmp_path / 'results#2'}\n"  # elsewhere a '#' is part of the value
     )
     cfg = parse(["--config", str(cfg_file), "--n-states", "3"])
     assert cfg.mu == 3.0
@@ -141,7 +178,7 @@ def test_config_file_merging(tmp_path):
     assert cfg.n_states == 3  # flag wins over file
     assert cfg.outputs == frozenset({"observables"})
     assert cfg.momentum_domain == (-5.0, 5.0)
-    assert str(cfg.output_dir).endswith("results")
+    assert cfg.output_dir == tmp_path / "results#2"
 
 
 def test_config_file_alpha_range(tmp_path):
@@ -198,8 +235,9 @@ def test_bad_config_files_exit_2(tmp_path, monkeypatch, capsys, content):
         ("n_points = 1.5\n", "1: argument --n-points: invalid int value: '1.5'"),
         ("alpha = 1\nalpha = x\nalpha = 2\n", "2: argument --alpha: invalid float value: 'x'"),
         ("mu = 4\ndomain = -x 9\n", "2: argument --domain: expected 2 arguments"),
+        ("mu = 4\nalpha = 1#2\n", "2: argument --alpha: invalid float value: '1#2'"),
     ],
-    ids=["int_flag", "second_alpha_line", "window_flag"],
+    ids=["int_flag", "second_alpha_line", "window_flag", "hash_inside_a_value"],
 )
 def test_rejected_config_value_names_its_line_with_the_parser_message(
         tmp_path, capsys, content, message):

@@ -225,7 +225,8 @@ def test_sweep_logs_its_lapack_source_once(tmp_path, caplog):
     run_sweep(SweepConfig(alpha_values=(1.0, 2.0, 5.0), n_points=41, n_states=2,
                           outputs=frozenset({"observables"}), output_dir=tmp_path, threads=2))
     [line] = [r.getMessage() for r in caplog.records if "eigensolver" in r.getMessage()]
-    assert line == f"eigensolver: dstebz/dstein from {snwell._lapack.lapack_source()}"
+    assert line == (f"eigensolver: dstebz/dstein from {snwell._lapack.lapack_source()}; "
+                    "3 points on 2 workers")
     assert snwell._lapack.lapack_source() in ("numpy's LAPACK", "scipy.linalg.lapack")
 
 
