@@ -20,9 +20,9 @@ memory grows with the threads in use, not with the number of points.  A
 point writes its files in one pass (each line by line to a temporary file
 moved into place): each Wigner file as soon as its field is built, the
 field then dropped, and the spectrum and contour files after the last
-state; it keeps only its records, and records.csv is written last.  A
-failed point, a failed computation or write included, leaves none of its
-files.  One abort event stops a sweep: a fail_fast failure, a point's
+state; it returns its records, or its failure, and records.csv is written
+last.  A failed point, a failed computation or write included, leaves none
+of its files.  One abort event stops a sweep: a fail_fast failure, a point's
 BaseException or Ctrl-C sets it, no point starts after it, the points in
 flight finish their files, and records.csv is not written.  No file depends
 on the order points finish in, so serial and parallel runs of the same
@@ -202,6 +202,10 @@ def _require_finite(quantity: str, compute, positive: bool = False) -> float:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One state at one alpha, a row of records.csv.  Outputs set mean_x and sigma_x
+    (observables) and nonreactive_prob (probability: each Wigner field's own, its
+    file's header value, else nonreactive_probabilities'); otherwise they are nan."""
+
     alpha: float
     depth: float
     state_index: int
@@ -238,45 +242,47 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> list[SweepRecord]:
-    """Compute one alpha point and write its files in one pass; return its records.
+@dataclass(frozen=True)
+class _PointResult:
+    """A point's records, or its failure; neither if it never started."""
+
+    records: tuple[SweepRecord, ...] = ()
+    failure: PointFailure | None = None
+
+
+def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path,
+                 abort: threading.Event) -> _PointResult:
+    """Compute one alpha point, unless abort is set, and write its files in one pass.
 
     Each Wigner file is written as soon as its field is built, and the field
     is dropped before the next one, so a point holds one field at a time.
-    The spectrum and contour files follow.  All of the point's files or
-    none: a failure, in a computation or in a write, removes every file the
-    point has written and no other; a path is listed once its writer returns.
+    The spectrum and contour files follow, then the records.  A failure
+    removes every file the point wrote and no other (a path is listed once
+    its writer returns); an Exception is then logged and returned, setting
+    abort under cfg.fail_fast; any other BaseException sets abort and propagates.
     """
+    if abort.is_set():
+        return _PointResult()
     params = ModelParams(mu=cfg.mu, alpha=alpha, hbar=cfg.hbar, mass=cfg.mass)
-    spectrum = solve(assemble(params, grid), cfg.n_states)
-    want_prob = "probability" in cfg.outputs
-    want_wigner = "wigner" in cfg.outputs
-
-    states, well_depth = spectrum.states, depth(params)
-    tag = _fmt(alpha)
-    records, written = [], []
+    tag, written = _fmt(alpha), []
     try:
-        probs = means = sigmas = [math.nan] * len(states)
-        # without Wigner files the probabilities come from the states through the
-        # cached prefix table, with no field built; with them, from each field
-        if want_prob and not want_wigner:
-            probs = nonreactive_probabilities(states, grid, pgrid, params)
+        spectrum = solve(assemble(params, grid), cfg.n_states)
+        states, well_depth = spectrum.states, depth(params)
+        means = sigmas = [math.nan] * len(states)
+        probs = [math.nan] * len(states)
         if "observables" in cfg.outputs:
             means, sigmas = (moments.tolist() for moments in position_records(states, grid))
-        for state, prob, mean_x, sigma_x in zip(states, probs, means, sigmas):
-            if want_wigner:
+        if "wigner" in cfg.outputs:
+            for i, state in enumerate(states):
                 w = wigner_transform(state, grid, pgrid, params)
-                if want_prob:
-                    prob = nonreactive_probability(w, params)
+                if "probability" in cfg.outputs:
+                    probs[i] = nonreactive_probability(w, params)
                 path = outdir / f"wigner_{tag}_n{state.index}.dat"
                 emit_wigner_grid(w, path)
                 written.append(path)
                 del w
-            records.append(SweepRecord(
-                alpha=alpha, depth=well_depth, state_index=state.index, energy=state.energy,
-                mean_x=mean_x, sigma_x=sigma_x, nonreactive_prob=prob,
-                boundary_amplitude=state.boundary_amplitude,
-            ))
+        elif "probability" in cfg.outputs:
+            probs = nonreactive_probabilities(states, grid, pgrid, params)
         if "spectrum" in cfg.outputs:
             path = outdir / f"spectrum_{tag}.csv"
             _write_spectrum(path, spectrum)
@@ -286,11 +292,21 @@ def _sweep_point(cfg: SweepConfig, grid, pgrid, alpha: float, outdir: Path) -> l
             _write_contours(path, spectrum,
                             [contour_points(params, s.energy, grid) for s in states])
             written.append(path)
-    except BaseException:
+        return _PointResult(records=tuple(SweepRecord(
+            alpha=alpha, depth=well_depth, state_index=s.index, energy=s.energy, mean_x=mean_x,
+            sigma_x=sigma_x, nonreactive_prob=prob, boundary_amplitude=s.boundary_amplitude)
+            for s, mean_x, sigma_x, prob in zip(states, means, sigmas, probs)))
+    except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
-        raise
-    return records
+        if not isinstance(exc, Exception):
+            abort.set()
+            raise
+        logger.error("sweep point alpha=%s failed: %s", alpha, exc)
+        if cfg.fail_fast:
+            abort.set()
+        return _PointResult(failure=PointFailure(
+            alpha=alpha, state_index=getattr(exc, "state_index", None), message=str(exc)))
 
 
 def _header(title: str, fields: list[tuple[str, object]]) -> list[str]:
@@ -454,14 +470,14 @@ def load_wigner_grid(path) -> tuple[WignerField, dict]:
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     """Run every alpha point, write the requested files, return all records.
 
-    Every point runs on a pool of min(cfg.threads, points) workers.  Point
-    failures (a failed write included) are logged with their (alpha, n) and
-    do not stop the other points unless cfg.fail_fast; a SweepPointError
-    carrying only them, in the order the alphas were given, is raised after
-    the remaining points were computed and written.  A fail_fast failure, a
-    point's BaseException or Ctrl-C sets the abort event, the sweep's one stop
-    state: no point starts after it and records.csv is not written.  Neither
-    LAPACK source: a ConfigurationError before the output directory exists.
+    Every point runs on a pool of min(cfg.threads, points) workers.  The
+    records are in the order the alphas were given, states ascending; a
+    failed point, or one that never started, adds none; records.csv sorts
+    them by (alpha, state index).  Point failures (a failed write included)
+    are logged and do not stop the other points unless cfg.fail_fast; a
+    SweepPointError carrying only them, in the order the alphas were given,
+    is raised after the other points were written.  Neither LAPACK source: a
+    ConfigurationError before the output directory exists.
     """
     workers = min(cfg.threads, len(cfg.alpha_values))
     logger.info("eigensolver: dstebz/dstein from %s; %d points on %d workers",
@@ -475,27 +491,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         raise ConfigurationError(f"cannot create the output directory: {exc}") from exc
 
     abort = threading.Event()  # once set, no further point starts
-
-    def capture(alpha: float) -> list[SweepRecord] | PointFailure:
-        """The point's records (none if it never started), or its failure."""
-        if abort.is_set():
-            return []
-        try:
-            return _sweep_point(cfg, grid, pgrid, alpha, outdir)
-        except Exception as exc:
-            logger.error("sweep point alpha=%s failed: %s", alpha, exc)
-            if cfg.fail_fast:
-                abort.set()
-            return PointFailure(alpha=alpha, state_index=getattr(exc, "state_index", None),
-                                message=str(exc))
-        except BaseException:
-            abort.set()
-            raise
-
     # leaving the block waits for the points in flight to finish their files
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            futures = [pool.submit(capture, alpha) for alpha in cfg.alpha_values]
+            futures = [pool.submit(_sweep_point, cfg, grid, pgrid, alpha, outdir, abort)
+                       for alpha in cfg.alpha_values]
             # wake now and then: Ctrl-C is raised only while the main thread runs
             while wait(futures, _POLL_S).not_done:
                 pass
@@ -504,9 +504,9 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
             raise
 
     # in the order the alphas were given; result() re-raises a BaseException from a point
-    outcomes = [fut.result() for fut in futures]
-    failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    records = [r for o in outcomes if isinstance(o, list) for r in o]
+    results = [fut.result() for fut in futures]
+    failures = [r.failure for r in results if r.failure]
+    records = [record for r in results for record in r.records]
     if not abort.is_set():  # here only a fail_fast failure can have set it
         _write_records(outdir / "records.csv", cfg, records)
     if failures:

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import logging
 import math
 import os
@@ -6,7 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +272,72 @@ def test_single_point_sweep_matches_direct_calls(tmp_path):
         w = wigner_transform(st, grid, pgrid, params)
         assert rec.nonreactive_prob == prob
         assert abs(rec.nonreactive_prob - nonreactive_probability(w, params)) <= 1e-14
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [frozenset(kinds) for k in range(1, len(ALL_OUTPUTS) + 1)
+     for kinds in itertools.combinations(snwell.sweep.OUTPUT_KINDS, k)],
+    ids=lambda outputs: "+".join(k for k in snwell.sweep.OUTPUT_KINDS if k in outputs))
+def test_each_record_column_has_one_source(tmp_path, outputs):
+    # N = 51: there the field path and the fused path differ in the last bit
+    # for all four states (at N = 41 they agree bitwise), so a column that
+    # took the other source would show
+    cfg = SweepConfig(alpha_values=(2.0, 1.0), outputs=outputs, n_points=51, n_states=2,
+                      output_dir=tmp_path, threads=1)
+    records = run_sweep(cfg)
+    grid, pg = make_grid(-1.0, 9.0, 51), make_momentum_grid(-6.0, 6.0, 51)
+    nan = [math.nan] * cfg.n_states
+    # in the order the alphas were given, states ascending
+    for alpha, point in zip(cfg.alpha_values, (records[:2], records[2:])):
+        params = ModelParams(4.0, alpha)
+        states = solve(assemble(params, grid), cfg.n_states).states
+        means, sigmas = position_records(states, grid) if "observables" in outputs else (nan, nan)
+        if {"wigner", "probability"} <= outputs:
+            probs = [nonreactive_probability(wigner_transform(st, grid, pg, params), params)
+                     for st in states]
+        elif "probability" in outputs:
+            probs = nonreactive_probabilities(states, grid, pg, params)
+        else:
+            probs = nan
+        assert [(r.alpha, r.state_index) for r in point] == [(alpha, st.index) for st in states]
+        assert _hex(r.depth for r in point) == _hex([depth(params)] * len(states))
+        assert _hex(r.energy for r in point) == _hex(st.energy for st in states)
+        assert (_hex(r.boundary_amplitude for r in point)
+                == _hex(st.boundary_amplitude for st in states))
+        assert _hex(r.mean_x for r in point) == _hex(means)
+        assert _hex(r.sigma_x for r in point) == _hex(sigmas)
+        assert _hex(r.nonreactive_prob for r in point) == _hex(probs)
+    _, columns, rows = read_table(tmp_path / "records.csv")
+    ordered = sorted(records, key=lambda r: (r.alpha, r.state_index))
+    assert tuple(columns) == snwell.sweep.RECORD_COLUMNS
+    assert [_hex(map(float, row)) for row in rows] == [_hex(astuple(r)) for r in ordered]
+
+
+def test_a_point_builds_each_probability_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for name in ("wigner_transform", "nonreactive_probability", "nonreactive_probabilities"):
+        def counted(*args, _real=getattr(snwell.sweep, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(snwell.sweep, name, counted)
+    cfg = SweepConfig(alpha_values=(2.0, 1.0), outputs=frozenset({"probability"}), n_points=41,
+                      n_states=2, output_dir=tmp_path / "fused", threads=1)
+    run_sweep(cfg)
+    assert calls == {"nonreactive_probabilities": 2}  # one per point, no field built
+
+    calls.clear()
+    snwell.wigner._prefix_build.cache_clear()
+    run_sweep(replace(cfg, outputs=frozenset({"wigner", "probability"}),
+                      output_dir=tmp_path / "fields"))
+    # each field is built once and measured twice: for its record and its file's header
+    assert calls == {"wigner_transform": 4, "nonreactive_probability": 8}
+    assert snwell.wigner._prefix_build.cache_info().misses == 0  # a Wigner run holds no table
 
 
 def test_records_file_round_trips(tmp_path):
@@ -651,7 +719,7 @@ def test_wigner_point_holds_one_field_at_a_time(tmp_path):
     grid, pg = make_grid(-1.0, 9.0, 599), make_momentum_grid(-6.0, 6.0, 599)
     tracemalloc.start()
     try:
-        snwell.sweep._sweep_point(cfg, grid, pg, 2.0, tmp_path)
+        snwell.sweep._sweep_point(cfg, grid, pg, 2.0, tmp_path, threading.Event())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
